@@ -4,9 +4,12 @@ BENCH_NOTE ?=
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 GIT_MSG := $(shell git log -1 --format=%s 2>/dev/null || echo local)
 
-.PHONY: all vet build test race bench bench-compare ci dfsd dfsload
+.PHONY: all fmt vet build test race dfsperf bench bench-compare ci dfsd dfsload
 
 all: ci
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -19,6 +22,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# dfsperf vets and tests the benchmark module, which has its own go.mod and
+# so is outside ./... above.
+dfsperf:
+	cd cmd/dfsperf && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -short ./...
 
 # bench runs the top-level Benchmark* functions plus the numeric-kernel and
 # fan-out scheduling micro-benchmarks and appends the parsed results (name,
@@ -53,4 +61,4 @@ dfsd:
 dfsload:
 	$(GO) build -o dfsload ./cmd/dfsload
 
-ci: vet build race
+ci: fmt vet build dfsperf race

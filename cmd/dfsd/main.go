@@ -26,7 +26,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,8 +61,6 @@ func main() {
 	traceRotate := flag.Int64("trace-rotate-bytes", 64<<20, "rotate the -trace file when it would exceed this many bytes")
 	traceKeep := flag.Int("trace-keep", 8, "rotated -trace files to keep; older ones are deleted")
 	fanout := flag.String("fanout", "", "comma-separated worker daemon URLs; when set this daemon is a coordinator that shards every job across them instead of executing locally")
-	fanoutPoll := flag.Duration("fanout-poll", 150*time.Millisecond, "coordinator's worker-status poll interval")
-	fanoutShards := flag.Int("fanout-shards", 0, "micro-shards per worker for -fanout jobs (0 = 4; 1 reproduces static one-shard-per-worker partitioning)")
 	faultDelay := flag.Duration("fault-delay", 0, "dev-only throttle: sleep this long before each pool build, simulating a slow worker (CI's heterogeneous fan-out smoke)")
 	flag.Parse()
 
@@ -115,14 +112,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dfsd: -fanout lists no worker URLs")
 			os.Exit(2)
 		}
-		fo := &serve.Fanout{
-			Workers:         workerURLs,
-			SpoolDir:        filepath.Join(*data, "fanout-spool"),
-			Retry:           retry,
-			Poll:            *fanoutPoll,
-			ShardsPerWorker: *fanoutShards,
-			Logf:            logger.Printf,
-		}
+		fo := &serve.Fanout{Workers: workerURLs, Retry: retry, Logf: logger.Printf}
 		buildPool = fo.BuildPool
 		logger.Printf("dfsd coordinating %d workers: %s", len(workerURLs), strings.Join(workerURLs, " "))
 	}
@@ -161,11 +151,11 @@ func main() {
 		JobTTL:              *jobTTL,
 		MaxTerminalJobs:     *maxTerminalJobs,
 		GCInterval:          *gcInterval,
-		Retry:          retry,
-		BuildPool:      buildPool,
-		Obs:            rt,
-		TraceBroadcast: broadcast,
-		Logf:           logger.Printf,
+		Retry:               retry,
+		BuildPool:           buildPool,
+		Obs:                 rt,
+		TraceBroadcast:      broadcast,
+		Logf:                logger.Printf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dfsd:", err)

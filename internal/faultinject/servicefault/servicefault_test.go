@@ -60,10 +60,10 @@ func submit(t *testing.T, s *serve.Server, spec serve.JobSpec) string {
 func TestServiceFaultScript(t *testing.T) {
 	dir := t.TempDir()
 	plan := map[int]faultinject.Fault{
-		0: {Kind: faultinject.TransientError},                  // job 0, attempt 1
-		2: {Kind: faultinject.Panic},                           // job 1
-		3: {Kind: faultinject.Delay, Sleep: 30 * time.Second},  // job 2 (deadline 200ms)
-		4: {Kind: faultinject.Delay, Sleep: 30 * time.Second},  // job 3 (wedged until drain)
+		0: {Kind: faultinject.TransientError},                 // job 0, attempt 1
+		2: {Kind: faultinject.Panic},                          // job 1
+		3: {Kind: faultinject.Delay, Sleep: 30 * time.Second}, // job 2 (deadline 200ms)
+		4: {Kind: faultinject.Delay, Sleep: 30 * time.Second}, // job 3 (wedged until drain)
 	}
 	scripted := servicefault.ScriptPoolBuilder(
 		servicefault.PoolBuilder(bench.BuildPoolResumed), plan)

@@ -111,7 +111,7 @@ func TestLogRegFitMatchesReferenceFuzzed(t *testing.T) {
 // chunk geometry and merge order depend only on the row count, so training
 // is bit-identical at every worker count.
 func TestLogRegFitBitIdenticalAcrossWorkers(t *testing.T) {
-	d := fuzzBinary(xrand.New(59), 700, 9)// well above one chunk
+	d := fuzzBinary(xrand.New(59), 700, 9) // well above one chunk
 
 	want := NewLogReg(1)
 	want.Workers = 1

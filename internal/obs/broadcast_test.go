@@ -88,7 +88,7 @@ func TestBroadcastSinkCloseOrdering(t *testing.T) {
 	s1.Close()
 	s1.Close() // idempotent
 	b.Close()
-	b.Close() // idempotent
+	b.Close()  // idempotent
 	s2.Close() // after sink close: must not double-close the channel
 	if _, ok := <-s2.C; ok {
 		t.Fatal("s2.C still open after sink Close")

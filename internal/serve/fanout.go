@@ -15,8 +15,8 @@ package serve
 // produces byte-identical records, so reassignment needs no state handoff.
 //
 // Scheduling is a micro-shard work queue, not static partitioning: the job
-// splits into ~ShardsPerWorker×len(Workers) small shards (capped by the
-// scenario count) that workers *pull* as they finish, so a fast worker
+// splits into ~defaultShardsPerWorker×len(Workers) small shards (capped by
+// the scenario count) that workers *pull* as they finish, so a fast worker
 // naturally completes more shards and the job's wall clock tracks the
 // fleet's aggregate speed instead of its slowest member. Micro-shard
 // membership depends only on the spec (scenario i % count == index), never
@@ -31,23 +31,25 @@ package serve
 // consecutive probes retires from this attempt (the server's job-level
 // retry re-probes it later).
 //
-// Results stream *through* the coordinator while shards run: each dispatch
-// tails the worker's GET /jobs/{id}/checkpoint?follow=1 NDJSON stream and
-// feeds every record into the merge map and opts.Sink the moment it
-// arrives, so the coordinator's own checkpoint — and its ?follow=1
-// clients — fill in record-sized steps. A broken stream falls back to the
-// completion-time checkpoint download (poll status, then
-// GET /jobs/{id}/checkpoint into the spool dir).
+// Results stream *through* the coordinator while shards run, and the
+// worker's GET /jobs/{id}/checkpoint?follow=1 NDJSON stream is the only
+// transfer path: each dispatch tails it and feeds every record into the
+// merge map and opts.Sink the moment it arrives, so the coordinator's own
+// checkpoint — and its ?follow=1 clients — fill in record-sized steps. A
+// broken stream re-attaches with &from= set one past the last delivered
+// scenario ID, so no record crosses the wire twice.
 //
 // Failure semantics per shard: transport errors, 429/503 rejections, a
-// worker job ending drained, or a run of failed polls are transient — the
-// shard requeues at the front and the next live worker picks it up, while
-// the failing worker backs off under the coordinator's RetryPolicy. A 400
-// rejection or a worker job ending failed is permanent and fails the whole
-// job with the worker's typed reason. Records land in the coordinator's own
-// checkpoint as they stream, so a coordinator crash or drain resumes by
-// re-running only the shards with missing records; spool files are
-// garbage-collected once the merge completes.
+// worker job ending drained, a run of failed health probes, or
+// pollFailLimit consecutive follow attaches that deliver no record are
+// transient — the shard requeues at the front and the next live worker
+// picks it up, while the failing worker backs off under the coordinator's
+// RetryPolicy. A 400 rejection, a worker job ending failed, a stream for a
+// different pool, or a record outside the shard or behind the cursor is
+// permanent and fails the whole job with the worker's typed reason.
+// Records land in the coordinator's own checkpoint as they stream, so a
+// coordinator crash or drain resumes by re-running only the shards with
+// missing records.
 
 import (
 	"bufio"
@@ -58,8 +60,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -76,41 +76,40 @@ import (
 // slower worker strands at most ~1/4 of one worker-share of work behind it.
 const defaultShardsPerWorker = 4
 
+// controlClient carries submits, status lookups and health probes. Follow
+// streams use http.DefaultClient instead: a shard legitimately runs for
+// minutes, so their liveness is watchdogged against the worker's keepalive
+// heartbeats rather than bounded by an overall timeout.
+var controlClient = &http.Client{Timeout: 10 * time.Second}
+
 // Fanout is a PoolBuilder that executes a job by sharding it across worker
 // daemons. Use it as Config.BuildPool on the coordinator server.
 type Fanout struct {
 	// Workers are the base URLs of the worker daemons (e.g.
 	// "http://127.0.0.1:8101"). Required, at least one.
 	Workers []string
-	// SpoolDir receives checkpoint downloads on the stream-fallback path.
-	// Required; created if absent. Files are removed after a successful
-	// merge.
+	// Deprecated: SpoolDir is ignored. The coordinator keeps no spool: a
+	// broken follow stream re-attaches at its scenario cursor instead of
+	// downloading the worker's checkpoint.
 	SpoolDir string
 	// Retry bounds per-shard reassignment attempts and paces a failing
 	// worker's backoff; the zero value means core.DefaultTransientRetries
 	// immediate retries.
 	Retry core.RetryPolicy
-	// Poll is the status/health poll interval; 0 means 150ms.
-	Poll time.Duration
-	// ShardsPerWorker targets ShardsPerWorker×len(Workers) micro-shards per
-	// job, capped by the scenario count. 0 means 4; 1 reproduces the old
-	// static one-shard-per-worker partitioning.
-	ShardsPerWorker int
-	// Client is the HTTP client for submits, polls, probes, and checkpoint
-	// downloads; nil means a private one with a 10s per-request timeout.
-	Client *http.Client
-	// StreamClient is the HTTP client for long-lived follow streams; nil
-	// derives one from Client's transport with no overall timeout (stream
-	// liveness is watchdogged against the worker's keepalive heartbeats
-	// instead).
-	StreamClient *http.Client
 	// Logf receives coordinator log lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// Test seams; zero means the production value. shardsPerWorker targets
+	// shardsPerWorker×len(Workers) micro-shards per job (capped by the
+	// scenario count; 1 is static one-shard-per-worker partitioning). poll
+	// paces health waits and empty re-attaches.
+	shardsPerWorker int
+	poll            time.Duration
 }
 
 // workerUnavailableError marks a shard attempt that failed for reasons a
 // different worker (or a later retry) can cure: connection failures, 429/503
-// rejections, a drained worker job, dead-looking poll targets. It is
+// rejections, a drained worker job, a dead-looking worker. It is
 // Transient so the server's job-level retry loop re-runs the fanout — which
 // resumes from the coordinator checkpoint, re-probes every worker, and
 // re-executes only the missing shards.
@@ -131,39 +130,11 @@ func (f *Fanout) logf(format string, args ...any) {
 	}
 }
 
-func (f *Fanout) client() *http.Client {
-	if f.Client != nil {
-		return f.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
-// streamClient returns the client used for follow streams: no overall
-// timeout (a shard legitimately runs for minutes), sharing Client's
-// transport when one is configured.
-func (f *Fanout) streamClient() *http.Client {
-	if f.StreamClient != nil {
-		return f.StreamClient
-	}
-	c := &http.Client{}
-	if f.Client != nil {
-		c.Transport = f.Client.Transport
-	}
-	return c
-}
-
-func (f *Fanout) poll() time.Duration {
-	if f.Poll > 0 {
-		return f.Poll
+func (f *Fanout) pollInterval() time.Duration {
+	if f.poll > 0 {
+		return f.poll
 	}
 	return 150 * time.Millisecond
-}
-
-func (f *Fanout) shardsPerWorker() int {
-	if f.ShardsPerWorker > 0 {
-		return f.ShardsPerWorker
-	}
-	return defaultShardsPerWorker
 }
 
 // BuildPool implements PoolBuilder: partition cfg's scenarios into
@@ -175,22 +146,17 @@ func (f *Fanout) BuildPool(ctx context.Context, cfg bench.Config, opts bench.Run
 	if len(f.Workers) == 0 {
 		return nil, fmt.Errorf("fanout: no workers configured")
 	}
-	if f.SpoolDir == "" {
-		return nil, fmt.Errorf("fanout: SpoolDir is required")
-	}
 	if cfg.Shard.Count > 1 {
 		// The coordinator owns the partitioning; a pre-sharded job would
 		// shard a shard and break the merge bookkeeping.
 		return nil, fmt.Errorf("fanout: cannot fan out an already-sharded job (shard %s)", cfg.Shard)
 	}
-	if err := os.MkdirAll(f.SpoolDir, 0o755); err != nil {
-		return nil, fmt.Errorf("fanout: spool dir: %w", err)
-	}
 
-	count := f.shardsPerWorker() * len(f.Workers)
-	if count > cfg.Scenarios {
-		count = cfg.Scenarios
+	per := f.shardsPerWorker
+	if per <= 0 {
+		per = defaultShardsPerWorker
 	}
+	count := min(per*len(f.Workers), cfg.Scenarios)
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &fanoutJob{
@@ -252,26 +218,7 @@ func (f *Fanout) BuildPool(ctx context.Context, cfg bench.Config, opts bench.Run
 		return nil, &workerUnavailableError{worker: "fleet",
 			err: fmt.Errorf("merged %d/%d records: %w", mergedN, cfg.Scenarios, lastErr)}
 	}
-	pool := &bench.Pool{Config: cfg, Records: sortedRecords(r.merged)}
-	// Every record is merged and checkpointed; spool files — including stale
-	// ones left by earlier attempts with a different shard count — are now
-	// redundant copies.
-	f.gcSpool(cfg, r.obs)
-	return pool, nil
-}
-
-// gcSpool removes every spool checkpoint of this pool's label, covering
-// downloads from any shard layout a previous attempt used.
-func (f *Fanout) gcSpool(cfg bench.Config, fo *fanoutObs) {
-	matches, err := filepath.Glob(filepath.Join(f.SpoolDir, cfg.Label+"-shard-*"+ckptFileSuffix))
-	if err != nil {
-		return
-	}
-	for _, m := range matches {
-		if os.Remove(m) == nil {
-			fo.spoolRemoved()
-		}
-	}
+	return &bench.Pool{Config: cfg, Records: sortedRecords(r.merged)}, nil
 }
 
 // fanoutJob is the mutable state of one BuildPool call: the micro-shard
@@ -314,7 +261,7 @@ func (r *fanoutJob) wait(ctx context.Context) {
 	}
 	ch := r.notify
 	r.mu.Unlock()
-	t := time.NewTimer(r.f.poll())
+	t := time.NewTimer(r.f.pollInterval())
 	defer t.Stop()
 	select {
 	case <-ch:
@@ -547,40 +494,50 @@ func (r *fanoutJob) runShard(ctx context.Context, worker string, idx int) bool {
 }
 
 // runShardOn submits the shard to one worker and tails its followed
-// checkpoint stream, delivering records mid-shard; a broken stream falls
-// back to polling the job to a terminal state and downloading its
-// checkpoint.
+// checkpoint stream, delivering records mid-shard. A broken stream
+// re-attaches one past the last delivered scenario ID; pollFailLimit
+// consecutive attaches that deliver no record make the worker unavailable.
 func (r *fanoutJob) runShardOn(ctx context.Context, worker string, shard bench.ShardSpec) (int, error) {
-	spec := shardJobSpec(r.cfg, shard)
-	st, err := r.f.submit(ctx, worker, spec)
+	st, err := r.f.submit(ctx, worker, shardJobSpec(r.cfg, shard))
 	if err != nil {
 		return 0, err
 	}
 	r.f.logf("fanout: shard %s → %s %s", shard, worker, st.ID)
-	n, state, serr := r.tailShard(ctx, worker, st.ID, shard)
-	if serr != nil {
+	n, next, empty := 0, 0, 0
+	for {
+		got, after, state, err := r.tailShard(ctx, worker, st.ID, shard, next)
+		n, next = n+got, after
+		if err == nil {
+			st.State = state
+			break
+		}
 		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		r.obs.streamFellBack()
-		r.f.logf("fanout: shard %s stream on %s broke (%v); falling back to checkpoint download", shard, worker, serr)
-		st, err = r.f.await(ctx, worker, st.ID)
-		if err != nil {
+		if !core.IsTransient(err) {
 			return 0, err
 		}
-		if err := shardStateError(worker, st); err != nil {
-			return 0, err
+		cause := errors.Unwrap(err) // the attach's failure, without the worker wrapper
+		if got > 0 {
+			empty = 0
+		} else {
+			empty++
+			if empty >= pollFailLimit {
+				return 0, &workerUnavailableError{worker: worker,
+					err: fmt.Errorf("%d consecutive follow attaches delivered no record, last: %w", empty, cause)}
+			}
+			// Pace empty attaches one poll interval apart, so a worker
+			// restarting its listener has pollFailLimit intervals to return.
+			select {
+			case <-time.After(r.f.pollInterval()):
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
 		}
-		recs, err := r.f.fetchShard(ctx, worker, st.ID, r.cfg, shard)
-		if err != nil {
-			return 0, err
-		}
-		for i := range recs {
-			r.deliver(recs[i])
-		}
-		return len(recs), nil
+		r.obs.reattached()
+		r.f.logf("fanout: shard %s stream on %s broke (%v); re-attaching at scenario %d", shard, worker, cause, next)
 	}
-	if state == StateDone {
+	if st.State == StateDone {
 		if want := shard.Size(r.cfg.Scenarios); n != want {
 			return 0, &workerUnavailableError{worker: worker, err: fmt.Errorf("followed stream delivered %d/%d records", n, want)}
 		}
@@ -590,8 +547,6 @@ func (r *fanoutJob) runShardOn(ctx context.Context, worker string, shard bench.S
 	// endpoint so a permanent failure carries the worker's category.
 	if st2, err := r.f.status(ctx, worker, st.ID); err == nil {
 		st = st2
-	} else {
-		st.State = state
 	}
 	return 0, shardStateError(worker, st)
 }
@@ -619,46 +574,51 @@ func shardStateError(worker string, st Status) error {
 // record is a few KB, so this is pure safety margin.
 const maxStreamLine = 16 << 20
 
-// tailShard follows one worker job's live checkpoint stream, delivering
-// each record as it arrives, and returns the delivered count plus the
-// job state from the stream trailer. Any transport or framing error returns
-// non-nil serr — the caller falls back to the download path. A watchdog
-// cancels a read idle for several keepalive beats, so a wedged (but not
-// closed) connection cannot hang the shard.
-func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard bench.ShardSpec) (n int, state State, serr error) {
+// tailShard makes one attach to a worker job's live checkpoint stream,
+// starting at scenario from, and delivers each record as it arrives. It
+// returns how many records it delivered, the cursor one past the last of
+// them, and the job state from the stream trailer. A broken stream — a
+// transport or framing error, no trailer, or a read idle for several
+// keepalive beats (the watchdog, so a wedged connection cannot hang the
+// shard) — is transient: the caller re-attaches at next. A header for a
+// different pool, or a record outside the shard or behind the cursor, is
+// permanent.
+func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard bench.ShardSpec, from int) (n, next int, state State, err error) {
+	next = from
+	broken := func(err error) error {
+		return &workerUnavailableError{worker: worker, err: fmt.Errorf("follow checkpoint %s: %w", id, err)}
+	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodGet, worker+"/jobs/"+id+"/checkpoint?follow=1", nil)
+	url := fmt.Sprintf("%s/jobs/%s/checkpoint?follow=1&from=%d", worker, id, from)
+	req, err := http.NewRequestWithContext(tctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, "", err
+		return 0, next, "", err
 	}
-	resp, err := r.f.streamClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return 0, "", err
+		return 0, next, "", broken(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("follow checkpoint %s: %d: %s", id, resp.StatusCode, readError(resp.Body))
+		return 0, next, "", broken(fmt.Errorf("%d: %s", resp.StatusCode, readError(resp.Body)))
 	}
-	idle := 5 * checkpointKeepalive
-	if p := 5 * r.f.poll(); p > idle {
-		idle = p
-	}
+	idle := max(5*checkpointKeepalive, 5*r.f.pollInterval())
 	watchdog := time.AfterFunc(idle, cancel)
 	defer watchdog.Stop()
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
 	if !sc.Scan() {
-		return 0, "", fmt.Errorf("follow checkpoint %s: no header line: %v", id, sc.Err())
+		return 0, next, "", broken(fmt.Errorf("no header line: %v", sc.Err()))
 	}
 	watchdog.Reset(idle)
 	hcfg, err := bench.DecodeCheckpointHeader(sc.Bytes())
 	if err != nil {
-		return 0, "", err
+		return 0, next, "", broken(err)
 	}
 	if hcfg.Scenarios != r.cfg.Scenarios || hcfg.Seed != r.cfg.Seed {
-		return 0, "", fmt.Errorf("worker streams a checkpoint for a different pool (%d scenarios, seed %d)", hcfg.Scenarios, hcfg.Seed)
+		return 0, next, "", fmt.Errorf("fanout: worker %s streams a checkpoint for a different pool (%d scenarios, seed %d)", worker, hcfg.Scenarios, hcfg.Seed)
 	}
 	for sc.Scan() {
 		watchdog.Reset(idle)
@@ -668,22 +628,25 @@ func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard benc
 		}
 		var rec bench.Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return n, "", fmt.Errorf("follow checkpoint %s: bad record line: %w", id, err)
+			return n, next, "", broken(fmt.Errorf("bad record line: %w", err))
 		}
-		if rec.ID < 0 || rec.ID >= r.cfg.Scenarios || !shard.Contains(rec.ID) {
-			return n, "", fmt.Errorf("follow checkpoint %s: scenario %d outside shard %s", id, rec.ID, shard)
+		if rec.ID >= r.cfg.Scenarios || !shard.Contains(rec.ID) {
+			return n, next, "", fmt.Errorf("fanout: worker %s streamed scenario %d outside shard %s", worker, rec.ID, shard)
+		}
+		if rec.ID < next {
+			return n, next, "", fmt.Errorf("fanout: worker %s streamed scenario %d behind cursor %d", worker, rec.ID, next)
 		}
 		r.deliver(rec)
-		n++
+		n, next = n+1, rec.ID+1
 	}
 	if err := sc.Err(); err != nil {
-		return n, "", err
+		return n, next, "", broken(err)
 	}
 	state = State(resp.Trailer.Get(trailerJobState))
 	if state == "" {
-		return n, "", fmt.Errorf("follow checkpoint %s: stream ended without a state trailer", id)
+		return n, next, "", broken(errors.New("stream ended without a state trailer"))
 	}
-	return n, state, nil
+	return n, next, state, nil
 }
 
 // probeHealthy reports whether the worker answers /healthz as serving (a
@@ -693,7 +656,7 @@ func (f *Fanout) probeHealthy(ctx context.Context, worker string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := f.client().Do(req)
+	resp, err := controlClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -731,10 +694,6 @@ func sortedRecords(byID map[int]bench.Record) []bench.Record {
 	return out
 }
 
-func (f *Fanout) spoolPath(cfg bench.Config, idx, count int) string {
-	return filepath.Join(f.SpoolDir, fmt.Sprintf("%s-shard-%d-of-%d%s", cfg.Label, idx, count, ckptFileSuffix))
-}
-
 // shardJobSpec maps the coordinator's bench config back onto the wire spec a
 // worker accepts, restricted to one shard. The mapping must round-trip
 // through the worker's own benchConfig to the same record-identity fields
@@ -765,7 +724,7 @@ func (f *Fanout) submit(ctx context.Context, worker string, spec JobSpec) (Statu
 		return Status{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client().Do(req)
+	resp, err := controlClient.Do(req)
 	if err != nil {
 		return Status{}, &workerUnavailableError{worker: worker, err: err}
 	}
@@ -784,47 +743,17 @@ func (f *Fanout) submit(ctx context.Context, worker string, spec JobSpec) (Statu
 	}
 }
 
-// pollFailLimit is how many consecutive failed status polls (or health
-// probes) declare a worker dead — a SIGKILLed worker stops answering
-// without any terminal state.
+// pollFailLimit is how many consecutive failed health probes, or follow
+// attaches that deliver no record, declare a worker dead — a SIGKILLed
+// worker stops answering without any terminal state.
 const pollFailLimit = 5
-
-// await polls the worker job until it leaves queued/running (the
-// stream-fallback path).
-func (f *Fanout) await(ctx context.Context, worker, id string) (Status, error) {
-	t := time.NewTicker(f.poll())
-	defer t.Stop()
-	failures := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return Status{}, ctx.Err()
-		case <-t.C:
-		}
-		st, err := f.status(ctx, worker, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return Status{}, ctx.Err()
-			}
-			failures++
-			if failures >= pollFailLimit {
-				return Status{}, &workerUnavailableError{worker: worker, err: fmt.Errorf("%d consecutive poll failures: %w", failures, err)}
-			}
-			continue
-		}
-		failures = 0
-		if st.State != StateQueued && st.State != StateRunning {
-			return st, nil
-		}
-	}
-}
 
 func (f *Fanout) status(ctx context.Context, worker, id string) (Status, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/jobs/"+id, nil)
 	if err != nil {
 		return Status{}, err
 	}
-	resp, err := f.client().Do(req)
+	resp, err := controlClient.Do(req)
 	if err != nil {
 		return Status{}, err
 	}
@@ -837,58 +766,6 @@ func (f *Fanout) status(ctx context.Context, worker, id string) (Status, error) 
 		return Status{}, err
 	}
 	return st, nil
-}
-
-// fetchShard downloads the worker job's checkpoint into the spool dir and
-// parses it, verifying it is the shard we asked for, complete, and from the
-// same pool identity.
-func (f *Fanout) fetchShard(ctx context.Context, worker, id string, cfg bench.Config, shard bench.ShardSpec) ([]bench.Record, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/jobs/"+id+"/checkpoint", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.client().Do(req)
-	if err != nil {
-		return nil, &workerUnavailableError{worker: worker, err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &workerUnavailableError{worker: worker, err: fmt.Errorf("checkpoint %s: %d: %s", id, resp.StatusCode, readError(resp.Body))}
-	}
-	path := f.spoolPath(cfg, shard.Index, shard.Count)
-	tmp := path + ".tmp"
-	g, err := os.Create(tmp)
-	if err != nil {
-		return nil, err
-	}
-	_, cpErr := io.Copy(g, resp.Body)
-	if err := g.Close(); cpErr == nil {
-		cpErr = err
-	}
-	if cpErr != nil {
-		os.Remove(tmp)
-		return nil, &workerUnavailableError{worker: worker, err: fmt.Errorf("checkpoint download: %w", cpErr)}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, err
-	}
-	rcfg, recs, err := bench.ReadCheckpoint(path)
-	if err != nil {
-		// A torn or foreign file from a half-dead worker: recomputable.
-		return nil, &workerUnavailableError{worker: worker, err: err}
-	}
-	if rcfg.Scenarios != cfg.Scenarios || rcfg.Seed != cfg.Seed {
-		return nil, fmt.Errorf("fanout: worker %s returned a checkpoint for a different pool (%d scenarios, seed %d)", worker, rcfg.Scenarios, rcfg.Seed)
-	}
-	if want := shard.Size(cfg.Scenarios); len(recs) != want {
-		return nil, &workerUnavailableError{worker: worker, err: fmt.Errorf("shard checkpoint has %d/%d records", len(recs), want)}
-	}
-	for _, rec := range recs {
-		if !shard.Contains(rec.ID) {
-			return nil, fmt.Errorf("fanout: worker %s returned scenario %d outside shard %s", worker, rec.ID, shard)
-		}
-	}
-	return recs, nil
 }
 
 // readError extracts the error string from a JSON rejection body (falling
@@ -910,9 +787,8 @@ type fanoutObs struct {
 	mCompleted  *obs.Counter // serve.fanout.shards_completed
 	mRequeued   *obs.Counter // serve.fanout.shards_requeued
 	mStreamed   *obs.Counter // serve.fanout.records_streamed
-	mFallbacks  *obs.Counter // serve.fanout.stream_fallbacks
+	mReattached *obs.Counter // serve.fanout.stream_fallbacks: follow re-attaches
 	mProbeFails *obs.Counter // serve.fanout.probe_failures
-	mSpoolGC    *obs.Counter // serve.fanout.spool_files_removed
 }
 
 func newFanoutObs(ctx context.Context) *fanoutObs {
@@ -926,9 +802,8 @@ func newFanoutObs(ctx context.Context) *fanoutObs {
 		mCompleted:  m.Counter("serve.fanout.shards_completed"),
 		mRequeued:   m.Counter("serve.fanout.shards_requeued"),
 		mStreamed:   m.Counter("serve.fanout.records_streamed"),
-		mFallbacks:  m.Counter("serve.fanout.stream_fallbacks"),
+		mReattached: m.Counter("serve.fanout.stream_fallbacks"),
 		mProbeFails: m.Counter("serve.fanout.probe_failures"),
-		mSpoolGC:    m.Counter("serve.fanout.spool_files_removed"),
 	}
 }
 
@@ -952,18 +827,13 @@ func (o *fanoutObs) recordStreamed() {
 		o.mStreamed.Inc()
 	}
 }
-func (o *fanoutObs) streamFellBack() {
+func (o *fanoutObs) reattached() {
 	if o != nil {
-		o.mFallbacks.Inc()
+		o.mReattached.Inc()
 	}
 }
 func (o *fanoutObs) probeFailed() {
 	if o != nil {
 		o.mProbeFails.Inc()
-	}
-}
-func (o *fanoutObs) spoolRemoved() {
-	if o != nil {
-		o.mSpoolGC.Inc()
 	}
 }

@@ -4,7 +4,7 @@ package serve
 // beats static sharding wall-clock with a 4× slowed worker". Both benchmarks
 // drive the same stub fleet — one worker synthesizing a record per 1ms, one
 // per 4ms — through Fanout.BuildPool directly; the only difference is
-// ShardsPerWorker. Static partitioning (1) pins half the scenarios behind
+// shardsPerWorker. Static partitioning (1) pins half the scenarios behind
 // the slow worker, so the job's wall clock is the slow worker's full share;
 // the micro-shard pull queue (default 4) lets the fast worker drain most of
 // the backlog while the slow one finishes a single small shard.
@@ -22,10 +22,9 @@ func benchmarkFanout(b *testing.B, shardsPerWorker int) {
 	_, slowURL := newStubWorker(b, 4*time.Millisecond)
 	fo := &Fanout{
 		Workers:         []string{slowURL, fastURL},
-		SpoolDir:        b.TempDir(),
 		Retry:           fanoutRetry,
-		Poll:            10 * time.Millisecond,
-		ShardsPerWorker: shardsPerWorker,
+		poll:            10 * time.Millisecond,
+		shardsPerWorker: shardsPerWorker,
 	}
 	cfg := bench.Config{
 		Label:     "bench",

@@ -2,8 +2,8 @@ package serve
 
 // Micro-shard scheduling tests. These run against stub pool builders that
 // synthesize records with a controlled per-record delay, so they exercise
-// the coordinator's pull queue, speed balancing, streaming merge, and spool
-// GC without paying for real strategy training (TestFanout already proves
+// the coordinator's pull queue, speed balancing, and streaming merge
+// without paying for real strategy training (TestFanout already proves
 // byte-identity on real builds). The warm-store test is the exception: it
 // needs real builds to populate the durable record cache.
 
@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -116,11 +114,10 @@ func TestFanoutMicroShardsBalanceSpeed(t *testing.T) {
 	_, slowURL := newStubWorker(t, 60*time.Millisecond)
 	rt := obs.New()
 	fo := &Fanout{
-		Workers:  []string{slowURL, fastURL},
-		SpoolDir: t.TempDir(),
-		Retry:    fanoutRetry,
-		Poll:     20 * time.Millisecond,
-		Logf:     t.Logf,
+		Workers: []string{slowURL, fastURL},
+		Retry:   fanoutRetry,
+		poll:    20 * time.Millisecond,
+		Logf:    t.Logf,
 	}
 	coord := newTestServer(t, Config{Workers: 1, BuildPool: fo.BuildPool, Obs: rt})
 	ts := httptest.NewServer(coord.Handler())
@@ -150,56 +147,6 @@ func TestFanoutMicroShardsBalanceSpeed(t *testing.T) {
 	checkInvariant(t, coord)
 }
 
-// TestFanoutSpoolGC is the spool-leak regression test: stale shard
-// checkpoints of the same job label — including ones from an older shard
-// layout — are removed once the merge completes.
-func TestFanoutSpoolGC(t *testing.T) {
-	spec := JobSpec{Scenarios: 6, Seed: 5, MaxEvals: 8, Datasets: []string{"COMPAS"}}
-
-	_, w1 := newStubWorker(t, time.Millisecond)
-	_, w2 := newStubWorker(t, time.Millisecond)
-	spool := t.TempDir()
-	fo := &Fanout{
-		Workers:  []string{w1, w2},
-		SpoolDir: spool,
-		Retry:    fanoutRetry,
-		Poll:     20 * time.Millisecond,
-		Logf:     t.Logf,
-	}
-	coord := newTestServer(t, Config{Workers: 1, BuildPool: fo.BuildPool})
-	ts := httptest.NewServer(coord.Handler())
-	t.Cleanup(ts.Close)
-
-	// The first job on a fresh server is job-000000; plant spool leftovers a
-	// previous coordinator attempt (with a different shard count) would have
-	// left behind, plus a foreign job's file the GC must NOT touch.
-	stale := []string{"job-000000-shard-0-of-2.ckpt", "job-000000-shard-5-of-8.ckpt"}
-	foreign := "job-999999-shard-0-of-2.ckpt"
-	for _, name := range append(append([]string(nil), stale...), foreign) {
-		if err := os.WriteFile(filepath.Join(spool, name), []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	_ = runToCSV(t, ts.URL, spec)
-
-	for _, name := range stale {
-		if _, err := os.Stat(filepath.Join(spool, name)); !os.IsNotExist(err) {
-			t.Fatalf("stale spool file %s survived the merge", name)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(spool, foreign)); err != nil {
-		t.Fatalf("foreign job's spool file was removed: %v", err)
-	}
-	matches, err := filepath.Glob(filepath.Join(spool, "job-000000-shard-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Fatalf("spool files leaked after completion: %v", matches)
-	}
-}
-
 // TestFanoutWarmStoreSkips is the store-aware scheduling acceptance at
 // service scope: after a cold fan-out populates a shared evaluation store,
 // a fresh fleet over the same store replays every scenario from the durable
@@ -223,11 +170,10 @@ func TestFanoutWarmStoreSkips(t *testing.T) {
 			defer srv.Close()
 		}
 		fo := &Fanout{
-			Workers:  workers,
-			SpoolDir: t.TempDir(),
-			Retry:    fanoutRetry,
-			Poll:     20 * time.Millisecond,
-			Logf:     t.Logf,
+			Workers: workers,
+			Retry:   fanoutRetry,
+			poll:    20 * time.Millisecond,
+			Logf:    t.Logf,
 		}
 		coord := newTestServer(t, Config{Workers: 1, BuildPool: fo.BuildPool})
 		ts := httptest.NewServer(coord.Handler())

@@ -39,11 +39,10 @@ func newWorker(t *testing.T) (*Server, string) {
 func newCoordinator(t *testing.T, workers ...string) (*Server, string) {
 	t.Helper()
 	fo := &Fanout{
-		Workers:  workers,
-		SpoolDir: t.TempDir(),
-		Retry:    fanoutRetry,
-		Poll:     20 * time.Millisecond,
-		Logf:     t.Logf,
+		Workers: workers,
+		Retry:   fanoutRetry,
+		poll:    20 * time.Millisecond,
+		Logf:    t.Logf,
 	}
 	srv := newTestServer(t, Config{Workers: 1, BuildPool: fo.BuildPool})
 	ts := httptest.NewServer(srv.Handler())

@@ -47,7 +47,8 @@ const retryAfterSeconds = 2
 //	GET  /jobs/{id}/events SSE progress stream       → 200 text/event-stream
 //	GET  /jobs/{id}/checkpoint  raw checkpoint JSONL → 200 x-ndjson (done only;
 //	                       ?follow=1 → NDJSON streamed while running, with
-//	                       blank-line keepalives and an X-Dfs-Job-State trailer)
+//	                       blank-line keepalives and an X-Dfs-Job-State trailer;
+//	                       &from=<id> starts at the first shard scenario ≥ id)
 //	GET  /metrics          obs metrics registry      → 200 JSON
 //	                       (?format=prom → Prometheus text exposition)
 //	GET  /progress         live pool progress        → 200 JSON

@@ -216,11 +216,11 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(obs.NewContext(context.Background(), rt))
 	m := rt.Metrics()
 	s := &Server{
-		cfg:     cfg,
-		rt:      rt,
-		bcast:   cfg.TraceBroadcast,
-		baseCtx: ctx,
-		cancel:  cancel,
+		cfg:      cfg,
+		rt:       rt,
+		bcast:    cfg.TraceBroadcast,
+		baseCtx:  ctx,
+		cancel:   cancel,
 		jobs:     make(map[string]*Job),
 		tenants:  make(map[string]*tenantAccount),
 		drained:  make(chan struct{}),
@@ -639,8 +639,9 @@ func (s *Server) worker() {
 // the build are isolated into the StrategyError taxonomy rather than
 // killing the worker.
 func (s *Server) runJob(job *Job) {
+	// Every exit below goes through a finish* method, which takes the job
+	// back off serve.jobs.running as it bumps the terminal counter.
 	s.gRunning.Add(1)
-	defer s.gRunning.Add(-1)
 	job.dequeuedAt = time.Now()
 	if wait := job.dequeuedAt.Sub(job.admittedAt); wait >= 0 {
 		s.hQueueWait.Observe(wait.Seconds())
@@ -752,12 +753,13 @@ func (s *Server) finishDone(job *Job, p *bench.Pool) {
 	job.err = ""
 	job.category = ""
 	job.adoptPoolLocked(p)
+	// Count the terminal state before publishing it: a client that just
+	// observed state=done over HTTP must also see serve.job.done and
+	// serve.jobs.running moved on /metrics.
+	s.mDone.Inc()
+	s.gRunning.Add(-1)
 	job.notifyLocked()
 	job.mu.Unlock()
-	// Count the terminal state before the (slow, disk-bound) persist: a
-	// client that just observed state=done over HTTP must also see
-	// serve.job.done moved on /metrics.
-	s.mDone.Inc()
 	s.chargeTenant(job.Tenant, cost)
 	s.persist(job)
 	s.endJobSpan(job, "done",
@@ -776,9 +778,10 @@ func (s *Server) finishFailed(job *Job, err error) {
 	job.state = StateFailed
 	job.err = err.Error()
 	job.category = category
+	s.mFailed.Inc()
+	s.gRunning.Add(-1)
 	job.notifyLocked()
 	job.mu.Unlock()
-	s.mFailed.Inc()
 	s.persist(job)
 	s.endJobSpan(job, "failed", obs.Str("category", string(category)))
 	s.cfg.Logf("serve: job %s failed (%s): %v", job.ID, category, err)
@@ -788,8 +791,12 @@ func (s *Server) finishFailed(job *Job, err error) {
 // it resumable (drained), a deadline expiry is a typed timeout failure.
 func (s *Server) finishInterrupted(job *Job, jctx context.Context, err error) {
 	if s.baseCtx.Err() != nil || s.draining.Load() {
-		job.setState(StateDrained)
+		job.mu.Lock()
+		job.state = StateDrained
 		s.mDrained.Inc()
+		s.gRunning.Add(-1)
+		job.notifyLocked()
+		job.mu.Unlock()
 		s.persist(job)
 		s.endJobSpan(job, "drained")
 		s.cfg.Logf("serve: job %s drained (checkpoint retained)", job.ID)

@@ -369,11 +369,11 @@ func TestInvalidSpecsRejected(t *testing.T) {
 	defer ts.Close()
 
 	cases := []JobSpec{
-		{Scenarios: 0},                                     // below minimum
-		{Scenarios: 11},                                    // above server cap
-		{Scenarios: 1, Datasets: []string{"no-such-set"}},  // unknown dataset
-		{Scenarios: 1, MaxEvals: -1},                       // negative evals
-		{Scenarios: 1, DeadlineSeconds: -2},                // negative deadline
+		{Scenarios: 0},  // below minimum
+		{Scenarios: 11}, // above server cap
+		{Scenarios: 1, Datasets: []string{"no-such-set"}}, // unknown dataset
+		{Scenarios: 1, MaxEvals: -1},                      // negative evals
+		{Scenarios: 1, DeadlineSeconds: -2},               // negative deadline
 	}
 	for i, spec := range cases {
 		code, _, eb, _ := postJob(t, ts.URL, spec)

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"github.com/declarative-fs/dfs/internal/bench"
@@ -103,7 +104,9 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) 
 // line per completed scenario in contiguous scenario-ID order as they land,
 // blank-line keepalives while idle, ending with the job's state in the
 // X-Dfs-Job-State trailer. The followed stream is how the coordinator fills
-// its own checkpoint in record-sized steps while shards are still running.
+// its own checkpoint in record-sized steps while shards are still running;
+// &from=<scenario id> starts it at the first of the job's scenarios at or
+// past that ID, so a broken stream re-attaches where it left off.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -133,11 +136,24 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamCheckpoint answers GET /jobs/{id}/checkpoint?follow=1: a live
-// NDJSON rendering of the job's checkpoint. The record lines are marshaled
-// from the same Records the checkpoint file holds, so a completed stream
-// parses to the identical record set.
+// streamCheckpoint answers GET /jobs/{id}/checkpoint?follow=1[&from=<id>]:
+// a live NDJSON rendering of the job's checkpoint. The record lines are
+// marshaled from the same Records the checkpoint file holds, so a completed
+// stream parses to the identical record set. from must be a scenario ID in
+// [0, scenarios]; anything else answers 400.
 func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *Job) {
+	next := 0
+	if v := r.URL.Query().Get("from"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n > job.Spec.Scenarios {
+			writeJSON(w, http.StatusBadRequest, errorBody{
+				Error:  fmt.Sprintf("bad from cursor %q: want a scenario id in [0, %d]", v, job.Spec.Scenarios),
+				Reason: RejectInvalid,
+			})
+			return
+		}
+		next = n
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})
@@ -156,7 +172,6 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 	fl.Flush()
 	keep := time.NewTicker(checkpointKeepalive)
 	defer keep.Stop()
-	next := 0
 	for {
 		// Grab the wait channel before snapshotting, so a record landing
 		// between the snapshot and the wait wakes the next iteration.
@@ -208,13 +223,13 @@ type traceLine struct {
 
 // progressEvent is the data payload of the synthesized SSE progress event.
 type progressEvent struct {
-	ID              string  `json:"id"`
-	State           State   `json:"state"`
-	RecordsDone     int     `json:"records_done"`
-	RecordsTotal    int     `json:"records_total"`
-	Retries         int     `json:"retries,omitempty"`
-	Error           string  `json:"error,omitempty"`
-	FailureCategory string  `json:"failure_category,omitempty"`
+	ID              string `json:"id"`
+	State           State  `json:"state"`
+	RecordsDone     int    `json:"records_done"`
+	RecordsTotal    int    `json:"records_total"`
+	Retries         int    `json:"retries,omitempty"`
+	Error           string `json:"error,omitempty"`
+	FailureCategory string `json:"failure_category,omitempty"`
 	// Memo accounting over the eval events seen by this stream (the raw
 	// per-evaluation events are folded into this summary, not forwarded).
 	MemoHits    uint64  `json:"memo_hits"`

@@ -295,6 +295,67 @@ func TestCheckpointFollowStream(t *testing.T) {
 		}
 	}
 	checkInvariant(t, srv)
+
+	// The from cursor a broken stream re-attaches with: the stream starts at
+	// the first shard member at or past from, and a cursor that is not a
+	// scenario ID in [0, scenarios] is a 400. Shard 1/2 of six scenarios
+	// owns IDs 1, 3 and 5.
+	shardSrv := newTestServer(t, Config{Workers: 1, BuildPool: stubBuilder(0)})
+	sts := httptest.NewServer(shardSrv.Handler())
+	defer sts.Close()
+	sharded := JobSpec{Scenarios: 6, Seed: 3, MaxEvals: 10, Datasets: []string{"COMPAS"}, ShardIndex: 1, ShardCount: 2}
+	code, sst, eb, _ := postJob(t, sts.URL, sharded)
+	if code != http.StatusAccepted {
+		t.Fatalf("sharded submit: code %d (%s)", code, eb.Error)
+	}
+	awaitState(t, sts.URL, sst.ID, StateDone)
+	for _, tc := range []struct {
+		from string
+		code int
+		ids  []int
+	}{
+		{"0", http.StatusOK, []int{1, 3, 5}},
+		{"1", http.StatusOK, []int{1, 3, 5}},
+		{"2", http.StatusOK, []int{3, 5}},
+		{"5", http.StatusOK, []int{5}},
+		{"6", http.StatusOK, nil},
+		{"-1", http.StatusBadRequest, nil},
+		{"abc", http.StatusBadRequest, nil},
+		{"7", http.StatusBadRequest, nil},
+	} {
+		resp, err := http.Get(sts.URL + "/jobs/" + sst.ID + "/checkpoint?follow=1&from=" + tc.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Fatalf("from=%s: code %d, want %d (%s)", tc.from, resp.StatusCode, tc.code, body)
+		}
+		if tc.code != http.StatusOK {
+			continue
+		}
+		var ids []int
+		for i, line := range bytes.Split(body, []byte("\n")) {
+			if i == 0 || len(bytes.TrimSpace(line)) == 0 {
+				continue // header line, keepalives
+			}
+			var rec bench.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("from=%s: bad record line %q: %v", tc.from, line, err)
+			}
+			ids = append(ids, rec.ID)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(tc.ids) {
+			t.Fatalf("from=%s: streamed IDs %v, want %v", tc.from, ids, tc.ids)
+		}
+		if got := resp.Trailer.Get(trailerJobState); got != string(StateDone) {
+			t.Fatalf("from=%s: trailer %s = %q, want %q", tc.from, trailerJobState, got, StateDone)
+		}
+	}
 }
 
 // TestResultFollowClientDisconnect kills a follow stream mid-job and checks
