@@ -1,6 +1,5 @@
 GO ?= go
 BENCHTIME ?= 1x
-BENCH_NOTE ?=
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 GIT_MSG := $(shell git log -1 --format=%s 2>/dev/null || echo local)
 
@@ -30,16 +29,14 @@ dfsperf:
 
 # bench runs the top-level Benchmark* functions plus the numeric-kernel and
 # fan-out scheduling micro-benchmarks and appends the parsed results (name,
-# ns/op, allocs/op) to the BENCH_PR10.json trajectory so successive PRs can
-# compare (earlier history lives in BENCH_PR2.json and BENCH_PR5.json), and
-# mirrors the run into the github-action-benchmark dashboard data at
-# dev/bench/data.js. Override BENCHTIME for steadier numbers, e.g. `make
-# bench BENCHTIME=3x BENCH_NOTE="after kernel rewrite"`.
+# ns/op, B/op, allocs/op) as one entry to dev/bench/data.js, the repo's one
+# benchmark trajectory (github-action-benchmark format). Override BENCHTIME
+# for steadier numbers, e.g. `make bench BENCHTIME=3x`, and GIT_MSG to label
+# the entry, e.g. `make bench GIT_MSG='after memo rework'`.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ \
 		. ./internal/linalg ./internal/ranking ./internal/model ./internal/serve \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR10.json -note "$(BENCH_NOTE)" \
-			-gha dev/bench/data.js -seed BENCH_PR2.json,BENCH_PR5.json,BENCH_PR10.json \
+		| $(GO) run ./cmd/benchjson -gha dev/bench/data.js \
 			-commit "$(GIT_SHA)" -commit-message "$(GIT_MSG)"
 
 # bench-compare is the CI regression gate: it runs the same benchmarks but

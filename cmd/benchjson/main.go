@@ -1,24 +1,13 @@
-// Command benchjson turns `go test -bench` output into a JSON trajectory
-// artifact. It reads the benchmark run from stdin (echoing it through to
-// stdout so it still shows in the terminal and CI logs), parses the
-// Benchmark* result lines, and appends one run object to the -out file —
-// BENCH_PR5.json in the repo root — so successive PRs can diff name, ns/op,
-// and allocs/op across snapshots (earlier history: BENCH_PR2.json):
+// Command benchjson records `go test -bench` output in the repo's one
+// benchmark trajectory. It reads the benchmark run from stdin (echoing it
+// through to stdout so it still shows in the terminal and CI logs), parses
+// the Benchmark* result lines, and appends one entry — ns/op, B/op and
+// allocs/op per benchmark — to the github-action-benchmark data file named
+// by -gha (`window.BENCHMARK_DATA = {...}` in dev/bench/data.js, the format
+// the upstream benchmark-action dashboard renders):
 //
-//	go test -bench=. -benchmem -benchtime=1x -run='^$' . | go run ./cmd/benchjson -note "after kernel rewrite"
-//
-// With -gha it additionally appends the run to a github-action-benchmark
-// data file (`window.BENCHMARK_DATA = {...}` in dev/bench/data.js), the
-// format the upstream benchmark-action dashboard renders. A missing data
-// file is seeded from the historical BENCH_*.json trajectories first, so the
-// dashboard starts with the full history:
-//
-//	... | go run ./cmd/benchjson -gha dev/bench/data.js \
-//	        -seed BENCH_PR2.json,BENCH_PR5.json \
+//	go test -bench=. -benchmem -benchtime=1x -run='^$' . | go run ./cmd/benchjson \
 //	        -commit "$(git rev-parse --short HEAD)" -commit-message "$(git log -1 --format=%s)"
-//
-// -seed-only rebuilds the -gha file from the seeds alone without reading
-// stdin (used to regenerate the committed artifact deterministically).
 //
 // -compare turns the tool into a CI regression gate: instead of recording
 // the run it diffs it against the newest tracked value of each series in the
@@ -48,47 +37,22 @@ import (
 
 // BenchResult is one parsed Benchmark* line.
 type BenchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-}
-
-// Run is one benchmark invocation's snapshot.
-type Run struct {
-	Date       string        `json:"date"`
-	Note       string        `json:"note,omitempty"`
-	Benchmarks []BenchResult `json:"benchmarks"`
+	Name        string
+	Iterations  int64
+	NsPerOp     float64
+	BytesPerOp  int64
+	AllocsPerOp int64
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR5.json", "trajectory file to append the run to")
-	note := flag.String("note", "", "free-form label for this run")
-	gha := flag.String("gha", "", "github-action-benchmark data.js file to also append the run to (empty = skip)")
+	gha := flag.String("gha", "dev/bench/data.js", "github-action-benchmark data.js file to append the run to")
 	commit := flag.String("commit", "", "commit id recorded in the -gha entry (default 'local')")
 	commitMsg := flag.String("commit-message", "", "commit message recorded in the -gha entry")
 	repoURL := flag.String("repo-url", "", "repository URL recorded in the -gha file")
-	seed := flag.String("seed", "", "comma-separated BENCH_*.json trajectories that seed a missing -gha file")
-	seedOnly := flag.Bool("seed-only", false, "rebuild the -gha file from -seed alone; stdin and -out are untouched")
 	compare := flag.String("compare", "", "gate mode: diff the stdin run against this data.js and exit 1 on regression; nothing is written")
 	compareThreshold := flag.Float64("compare-threshold", 0.10, "relative ns/op or allocs/op increase tolerated by -compare")
 	compareSkip := flag.String("compare-skip", "", "regexp of series -compare tracks but never fails on (wall-clock benchmarks too timing-dependent for the threshold)")
 	flag.Parse()
-
-	if *seedOnly {
-		if *gha == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -seed-only needs -gha")
-			os.Exit(2)
-		}
-		n, err := rebuildGHA(*gha, *seed, *repoURL)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: seeded %s with %d entries\n", *gha, n)
-		return
-	}
 
 	results, err := parse(os.Stdin)
 	if err != nil {
@@ -134,48 +98,19 @@ func main() {
 		return
 	}
 
-	var runs []Run
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s holds invalid JSON: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
 	now := time.Now().UTC()
-	runs = append(runs, Run{
-		Date:       now.Format(time.RFC3339),
-		Note:       *note,
-		Benchmarks: results,
+	c := ghaCommit{ID: *commit, Message: *commitMsg, Timestamp: now.Format(time.RFC3339)}
+	if c.ID == "" {
+		c.ID = "local"
+	}
+	n, err := appendGHA(*gha, *repoURL, ghaEntry{
+		Commit: c, Date: now.UnixMilli(), Tool: "go", Benches: toBenches(results),
 	})
-	data, err := json.MarshalIndent(runs, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: appended %d benchmarks to %s (%d runs total)\n",
-		len(results), *out, len(runs))
-
-	if *gha != "" {
-		c := ghaCommit{ID: *commit, Message: *commitMsg, Timestamp: now.Format(time.RFC3339)}
-		if c.ID == "" {
-			c.ID = "local"
-		}
-		if c.Message == "" {
-			c.Message = *note
-		}
-		n, err := appendGHA(*gha, *seed, *repoURL, ghaEntry{
-			Commit: c, Date: now.UnixMilli(), Tool: "go", Benches: toBenches(results),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: appended run to %s (%d entries total)\n", *gha, n)
-	}
+	fmt.Fprintf(os.Stderr, "benchjson: appended %d benchmarks to %s (%d entries total)\n", len(results), *gha, n)
 }
 
 // The github-action-benchmark on-disk shape: a JS assignment wrapping one
@@ -263,73 +198,11 @@ func writeGHA(path string, d ghaData) error {
 	return os.WriteFile(path, append([]byte(ghaPrefix), append(out, '\n')...), 0o644)
 }
 
-// seedEntries converts historical BENCH_*.json trajectories into dashboard
-// entries, attributed to the snapshot file they came from.
-func seedEntries(seedList string) ([]ghaEntry, error) {
-	var out []ghaEntry
-	for _, f := range strings.Split(seedList, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		var runs []Run
-		if err := json.Unmarshal(raw, &runs); err != nil {
-			return nil, fmt.Errorf("%s: %w", f, err)
-		}
-		for _, r := range runs {
-			msg := r.Note
-			if msg == "" {
-				msg = r.Date
-			}
-			var ms int64
-			if t, err := time.Parse(time.RFC3339, r.Date); err == nil {
-				ms = t.UnixMilli()
-			}
-			out = append(out, ghaEntry{
-				Commit:  ghaCommit{ID: "seed:" + filepath.Base(f), Message: msg, Timestamp: r.Date},
-				Date:    ms,
-				Tool:    "go",
-				Benches: toBenches(r.Benchmarks),
-			})
-		}
-	}
-	return out, nil
-}
-
-// rebuildGHA regenerates the data file from the seed trajectories alone.
-// LastUpdate is the newest seeded entry's date (not wall time), so the
-// committed artifact is reproducible.
-func rebuildGHA(path, seedList, repoURL string) (int, error) {
-	entries, err := seedEntries(seedList)
-	if err != nil {
-		return 0, err
-	}
-	d := ghaData{RepoURL: repoURL, Entries: map[string][]ghaEntry{ghaSeries: entries}}
-	for _, e := range entries {
-		if e.Date > d.LastUpdate {
-			d.LastUpdate = e.Date
-		}
-	}
-	return len(entries), writeGHA(path, d)
-}
-
-// appendGHA adds one entry, seeding the file from the historical
-// trajectories first if it does not exist yet.
-func appendGHA(path, seedList, repoURL string, e ghaEntry) (int, error) {
+// appendGHA adds one entry to the data file, creating it when missing.
+func appendGHA(path, repoURL string, e ghaEntry) (int, error) {
 	d, err := loadGHA(path)
 	if err != nil {
 		return 0, err
-	}
-	if len(d.Entries[ghaSeries]) == 0 && seedList != "" {
-		seeds, err := seedEntries(seedList)
-		if err != nil {
-			return 0, err
-		}
-		d.Entries[ghaSeries] = seeds
 	}
 	if repoURL != "" {
 		d.RepoURL = repoURL

@@ -48,11 +48,11 @@ func main() {
 	datasets := flag.String("datasets", "", "comma-separated dataset subset (default: all 19)")
 	reportPath := flag.String("report", "", "write the paper-vs-measured EXPERIMENTS report to this file")
 	dumpPath := flag.String("dump", "", "write the raw HPO scenario pool as CSV to this file")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics, /progress on this address (e.g. 127.0.0.1:8090)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. 127.0.0.1:8090)")
 	tracePath := flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	traceRotate := flag.Int64("trace-rotate-bytes", 0, "rotate the -trace file when it would exceed this many bytes (0 = single file, no rotation)")
 	traceKeep := flag.Int("trace-keep", 8, "rotated -trace files to keep when -trace-rotate-bytes is set")
-	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (0 disables)")
+	progressEvery := flag.Duration("progress", 0, "print a progress line (scenarios done, strategy runs started, cumulative over all pools) to stderr at this interval (0 disables)")
 	checkpointPrefix := flag.String("checkpoint", "", "stream completed scenarios to append-only JSONL checkpoints named PREFIX-LABEL.ckpt")
 	resume := flag.Bool("resume", false, "resume -checkpoint files from an earlier run (config must match; completed scenarios are not re-run)")
 	shardFlag := flag.String("shard", "", "run only shard i/n of every pool (e.g. 0/2); combine with -checkpoint, then reassemble with -merge")
@@ -189,7 +189,8 @@ func parseShard(s string) (bench.ShardSpec, error) {
 
 // setupObs wires the opt-in observability surface: a JSONL tracer (-trace,
 // size-rotated when -trace-rotate-bytes is set), the debug HTTP listener
-// (-debug-addr), and a periodic progress line (-progress). It returns the
+// (-debug-addr), and a periodic progress line (-progress) read off the
+// metrics registry, cumulative over the process's pools. It returns the
 // runtime-carrying context and a cleanup that flushes the trace and stops
 // the listener, reporting the first failure — a Flush/Close error on the
 // trace file is lost data (full disk), not noise. When no flag is set the
@@ -264,7 +265,7 @@ func setupObs(ctx context.Context, debugAddr, tracePath string, traceRotate int6
 			}
 			return ctx, noop, err
 		}
-		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics, /progress)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics)\n", srv.Addr())
 		cleanups = append(cleanups, srv.Close)
 	}
 	if progressEvery > 0 {
@@ -276,7 +277,7 @@ func setupObs(ctx context.Context, debugAddr, tracePath string, traceRotate int6
 				case <-stopped:
 					return
 				case <-t.C:
-					fmt.Fprintln(os.Stderr, rt.Progress().Line())
+					fmt.Fprintln(os.Stderr, bench.ProgressLine(rt.Metrics().Snapshot()))
 				}
 			}
 		}()

@@ -76,7 +76,7 @@ type output struct {
 func main() {
 	specPath := flag.String("spec", "", "path to the JSON scenario spec ('-' for stdin)")
 	list := flag.Bool("list", false, "list built-in datasets and strategies, then exit")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics, /progress on this address while the run lasts")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address while the run lasts")
 	tracePath := flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	flag.Parse()
 
@@ -138,7 +138,7 @@ func setupObs(ctx context.Context, debugAddr, tracePath string) (context.Context
 			cleanup()
 			return ctx, func() {}, err
 		}
-		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics, /progress)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics)\n", srv.Addr())
 		cleanups = append(cleanups, func() { srv.Close() })
 	}
 	return ctx, cleanup, nil

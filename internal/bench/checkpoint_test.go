@@ -236,6 +236,52 @@ func TestResumeConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeHeaderWithEvalStoreKey: checkpoints written by older builds
+// carry an "EvalStore":"" key in the header config, a field Config no
+// longer has. Existing dfsd data directories and mixed-version fan-outs
+// hold such headers, so a resume over one must work and stay bit-identical.
+func TestResumeHeaderWithEvalStoreKey(t *testing.T) {
+	ref := ckptRefPool(t)
+	cfg := ckptConfig()
+	path := filepath.Join(t.TempDir(), "pool.ckpt")
+	w, err := CreateCheckpoint(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rec := ref.Records[i]
+		if err := w.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, rest, _ := strings.Cut(string(data), "\n")
+	if !strings.HasSuffix(hdr, "}}") {
+		t.Fatalf("test setup: unexpected header shape %q", hdr)
+	}
+	hdr = strings.TrimSuffix(hdr, "}}") + `,"EvalStore":""}}`
+	if err := os.WriteFile(path, []byte(hdr+"\n"+rest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := ResumePool(context.Background(), cfg, path)
+	if err != nil {
+		t.Fatalf("resume over a header with EvalStore: %v", err)
+	}
+	if !reflect.DeepEqual(p.Records, ref.Records) {
+		t.Fatal("resumed pool diverged from the reference build")
+	}
+	if _, recs, err := ReadCheckpoint(path); err != nil || !reflect.DeepEqual(recs, ref.Records) {
+		t.Fatalf("completed checkpoint does not read back as the reference: %v", err)
+	}
+}
+
 // TestCheckpointDuplicateLines: identical duplicate record lines (an append
 // replayed around a crash) deduplicate silently; a disagreeing duplicate is
 // corruption.
@@ -393,9 +439,9 @@ func TestResumeObsInvariant(t *testing.T) {
 	if errs := snap.Counter("pool.checkpoint.write_errors"); errs != 0 {
 		t.Fatalf("pool.checkpoint.write_errors = %d", errs)
 	}
-	if ps := rt.Progress().State(); ps.ScenariosDone != cfg.Scenarios {
-		t.Fatalf("progress saw %d scenarios done, want %d (resumed records must count)",
-			ps.ScenariosDone, cfg.Scenarios)
+	if planned := snap.Counter("pool.scenarios_planned"); planned != resumed+executed {
+		t.Fatalf("pool.scenarios_planned %d != resumed %d + executed %d (resumed records must count toward progress)",
+			planned, resumed, executed)
 	}
 }
 

@@ -61,18 +61,9 @@ type Config struct {
 	// runs the whole pool. Shard workers write per-shard checkpoints that
 	// MergeShards reassembles bit-identically to a single-process run.
 	Shard ShardSpec
-	// Label names the pool in traces and progress reports (e.g. "HPO");
-	// empty means "pool". It never affects the run itself.
+	// Label names the pool in traces (e.g. "HPO"); empty means "pool". It
+	// never affects the run itself.
 	Label string
-	// EvalStore, when non-empty, is the directory of the durable
-	// content-addressed evaluation store (internal/evalstore): every
-	// scenario's trained-subset memo gains a disk tier shared across runs,
-	// shards, and restarts. Durable hits replay the full simulated cost, so
-	// records stay bit-identical to cold runs; like Workers, this is a
-	// scheduling/caching knob and is excluded from checkpoint identity.
-	// Ignored when NoEvalSharing is set (the store rides on the memo).
-	// RunOptions.Store takes precedence when both are set.
-	EvalStore string
 }
 
 // ShardSpec deterministically partitions the scenario IDs of a pool across
@@ -142,10 +133,12 @@ type RunOptions struct {
 	// CheckpointWriter.Err) and counted/traced, and the pool completes in
 	// memory regardless.
 	Sink RecordSink
-	// Store is an already-open durable evaluation store shared with the
-	// caller (cmd/benchmark, internal/serve open one store for many pools).
-	// When nil and cfg.EvalStore is set, BuildPoolResumed opens and closes
-	// its own store; when non-nil the caller owns the lifecycle.
+	// Store is an already-open durable evaluation store (internal/evalstore)
+	// whose lifecycle the caller owns; cmd/benchmark and internal/serve share
+	// one across many pools. It adds a disk tier beneath every scenario's
+	// trained-subset memo and replays durable hits at full simulated cost,
+	// so records stay bit-identical to cold runs. Ignored when NoEvalSharing
+	// is set (the store rides on the memo).
 	Store *evalstore.Store
 }
 
@@ -374,15 +367,6 @@ func BuildPoolResumed(ctx context.Context, cfg Config, opts RunOptions) (*Pool, 
 		return nil, err
 	}
 	po, ctx := newPoolObs(ctx, cfg)
-	store := opts.Store
-	if store == nil && cfg.EvalStore != "" {
-		s, err := evalstore.Open(cfg.EvalStore, evalstore.Options{Metrics: obs.FromContext(ctx).Metrics()})
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		store = s
-	}
 	cache := &datasetCache{data: make(map[string]*dataset.Dataset), seed: cfg.Seed}
 	records := make([]Record, cfg.Scenarios)
 	done := make([]bool, cfg.Scenarios)
@@ -433,7 +417,7 @@ func BuildPoolResumed(ctx context.Context, cfg Config, opts RunOptions) (*Pool, 
 				}
 				<-scenarios
 			}()
-			rec, err := runScenario(ctx, cfg, cache, i, slots, po, store)
+			rec, err := runScenario(ctx, cfg, cache, i, slots, po, opts.Store)
 			if err != nil {
 				// Only cancellation aborts a scenario without a record;
 				// everything else is recorded inside rec.
@@ -567,8 +551,8 @@ func runScenario(ctx context.Context, cfg Config, cache *datasetCache, i int, sl
 	}
 	rec.Results = make(map[string]core.RunResult, len(names))
 	for j, sName := range names {
-		po.strategyDone(ctx, sName, errs[j])
 		if errs[j] != nil {
+			po.strategyFailed(ctx, sName, errs[j])
 			rec.failStrategy(sName, errs[j])
 			continue
 		}
@@ -640,8 +624,8 @@ func newPoolObs(ctx context.Context, cfg Config) (*poolObs, context.Context) {
 		attrs = append(attrs, obs.Str("shard", cfg.Shard.String()))
 	}
 	span := rt.Tracer().StartSpan(obs.SpanFromContext(ctx), "pool", attrs...)
-	rt.Progress().BeginPool(label, cfg.Shard.Size(cfg.Scenarios))
 	m := rt.Metrics()
+	m.Counter("pool.scenarios_planned").Add(int64(cfg.Shard.Size(cfg.Scenarios)))
 	p := &poolObs{
 		rt:                rt,
 		span:              span,
@@ -658,15 +642,14 @@ func newPoolObs(ctx context.Context, cfg Config) (*poolObs, context.Context) {
 	return p, obs.ContextWithSpan(ctx, span)
 }
 
-// resumeSkip records a scenario adopted from a checkpoint: it counts toward
-// progress (it is done work of this pool) and toward the resumed counter,
-// and emits a resume_skip event so the trace shows which IDs never ran.
+// resumeSkip records a scenario adopted from a checkpoint: the resumed
+// counter counts it as done work of this pool, and a resume_skip event shows
+// in the trace which IDs never ran.
 func (p *poolObs) resumeSkip(rec *Record) {
 	if p == nil {
 		return
 	}
 	p.resumed.Inc()
-	p.rt.Progress().ScenarioDone(rec.Failed())
 	p.rt.Tracer().Event(p.span, "resume_skip",
 		obs.Int("scenario_id", int64(rec.ID)),
 		obs.Bool("failed", rec.Failed()))
@@ -713,7 +696,7 @@ func (p *poolObs) checkpointWrite(rec *Record, err error) {
 	p.rt.Tracer().Event(p.span, "checkpoint_write", attrs...)
 }
 
-// endPool closes the pool span and progress entry.
+// endPool closes the pool span.
 func (p *poolObs) endPool(pool *Pool) {
 	if p == nil {
 		return
@@ -725,7 +708,6 @@ func (p *poolObs) endPool(pool *Pool) {
 	p.rt.Tracer().EndSpan(p.span,
 		obs.Str("status", status),
 		obs.Int("records", int64(len(pool.Records))))
-	p.rt.Progress().EndPool()
 }
 
 // scenarioSpan opens one scenario's span under the pool span.
@@ -741,9 +723,8 @@ func (p *poolObs) scenarioSpan(ctx context.Context, rec *Record) context.Context
 	return obs.ContextWithSpan(ctx, span)
 }
 
-// endScenario closes a scenario span and updates progress. Canceled
-// scenarios (err != nil) end the span but are not counted done: they left no
-// record.
+// endScenario closes a scenario span and counts a failed scenario. Canceled
+// scenarios (err != nil) end the span but count nowhere: they left no record.
 func (p *poolObs) endScenario(ctx context.Context, rec *Record, err error) {
 	if p == nil {
 		return
@@ -761,21 +742,31 @@ func (p *poolObs) endScenario(ctx context.Context, rec *Record, err error) {
 	p.rt.Tracer().EndSpan(span,
 		obs.Str("status", status),
 		obs.Int("strategy_failures", int64(len(rec.Failures))))
-	p.rt.Progress().ScenarioDone(rec.Failed())
 }
 
-// strategyDone updates progress for one finished strategy run; casualties
-// additionally emit a degradation event on the scenario span so the trace
-// shows where the portfolio shrank.
-func (p *poolObs) strategyDone(ctx context.Context, name string, err error) {
+// strategyFailed counts a strategy-run casualty and emits a degradation
+// event on the scenario span, so the trace shows where the portfolio shrank.
+func (p *poolObs) strategyFailed(ctx context.Context, name string, err error) {
 	if p == nil {
 		return
 	}
-	p.rt.Progress().StrategyDone(err != nil)
-	if err != nil {
-		p.degraded.Inc()
-		p.rt.Tracer().Event(obs.SpanFromContext(ctx), "degradation",
-			obs.Str("strategy", name),
-			obs.Str("category", string(core.Classify(err))))
-	}
+	p.degraded.Inc()
+	p.rt.Tracer().Event(obs.SpanFromContext(ctx), "degradation",
+		obs.Str("strategy", name),
+		obs.Str("category", string(core.Classify(err))))
+}
+
+// ProgressLine renders the pool counters of a metrics snapshot as one
+// progress line. The counts are cumulative over every pool build started
+// against the registry, and each build adds its shard size to the planned
+// total, so done reaches planned only when every build completed: a
+// scenario is done once resumed or executed, and strategy.runs counts runs
+// as they start, so the line says "started".
+func ProgressLine(snap obs.Snapshot) string {
+	return fmt.Sprintf("# pools: %d/%d scenarios done (%d failed), %d strategy runs started (%d degraded)",
+		snap.Counter("pool.checkpoint.resumed")+snap.Counter("pool.scenarios_executed"),
+		snap.Counter("pool.scenarios_planned"),
+		snap.Counter("pool.scenario_failures"),
+		snap.Counter("strategy.runs"),
+		snap.Counter("pool.degraded_strategies"))
 }

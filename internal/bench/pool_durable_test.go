@@ -68,30 +68,6 @@ func TestPoolDurableStoreDeterminism(t *testing.T) {
 	t.Logf("warm %s", warmStats)
 }
 
-// TestPoolEvalStoreConfigKnob exercises the Config.EvalStore path (the store
-// BuildPoolResumed opens and closes itself) end to end.
-func TestPoolEvalStoreConfigKnob(t *testing.T) {
-	cfg := obsConfig()
-	cfg.Scenarios = 2
-	cfg.EvalStore = t.TempDir()
-
-	ref := cfg
-	ref.EvalStore = ""
-	want, err := BuildPool(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tag := range []string{"cold", "warm"} {
-		p, err := BuildPoolContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Records, p.Records) {
-			t.Fatalf("%s run under Config.EvalStore diverged", tag)
-		}
-	}
-}
-
 // TestShardedPoolSharesStore is the multi-process acceptance: two disjoint
 // shards populate one store directory through separate handles (exactly what
 // two shard processes do — flock and O_EXCL behave identically), then a full
@@ -144,12 +120,20 @@ func TestShardedPoolSharesStore(t *testing.T) {
 // hit, or a miss — and the evaluator-side counters agree with the memo ones.
 func TestPoolDurableObsInvariant(t *testing.T) {
 	cfg := obsConfig()
-	cfg.EvalStore = t.TempDir()
+	dir := t.TempDir()
 
 	for _, tag := range []string{"cold", "warm"} {
 		rt := obs.New()
 		ctx := obs.NewContext(context.Background(), rt)
-		if _, err := BuildPoolContext(ctx, cfg); err != nil {
+		store, err := evalstore.Open(dir, evalstore.Options{Metrics: rt.Metrics()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = BuildPoolResumed(ctx, cfg, RunOptions{Store: store})
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		snap := rt.Metrics().Snapshot()

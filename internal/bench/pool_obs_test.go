@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -234,14 +236,45 @@ func TestPoolObservability(t *testing.T) {
 		t.Fatalf("trace eval misses %d != memo.misses %d", evalMisses, misses)
 	}
 
-	// The progress reporter saw the whole pool.
-	ps := rt.Progress().State()
-	if ps.PoolsDone != 1 || ps.ScenariosDone != cfg.Scenarios {
-		t.Fatalf("progress out of step: %+v", ps)
+	// Progress is read off the counters: the whole planned pool is done.
+	planned := snap.Counter("pool.scenarios_planned")
+	done := snap.Counter("pool.checkpoint.resumed") + snap.Counter("pool.scenarios_executed")
+	if planned != int64(cfg.Scenarios) || done != planned {
+		t.Fatalf("pool.scenarios_planned %d, resumed+executed %d, want %d", planned, done, cfg.Scenarios)
 	}
-	if int(snap.Counter("strategy.runs")) != ps.StrategyRuns {
-		t.Fatalf("progress strategy runs %d != counter %d",
-			ps.StrategyRuns, snap.Counter("strategy.runs"))
+}
+
+// TestProgressLine checks the -progress line against the counters it is
+// built from, across two pools on one runtime: the first executes every
+// scenario into a checkpoint, the second resumes them all. Counts are
+// cumulative, and only executed scenarios start strategy runs.
+func TestProgressLine(t *testing.T) {
+	cfg := obsConfig()
+	cfg.Scenarios = 2
+	rt := obs.New()
+	ctx := obs.NewContext(context.Background(), rt)
+	path := filepath.Join(t.TempDir(), "pool.ckpt")
+	for i := 0; i < 2; i++ {
+		if _, err := ResumePool(ctx, cfg, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := rt.Metrics().Snapshot()
+	line := ProgressLine(snap)
+	var done, planned, failed, runs, degraded int64
+	if _, err := fmt.Sscanf(line, "# pools: %d/%d scenarios done (%d failed), %d strategy runs started (%d degraded)",
+		&done, &planned, &failed, &runs, &degraded); err != nil {
+		t.Fatalf("unparseable progress line %q: %v", line, err)
+	}
+	if resumed, executed := snap.Counter("pool.checkpoint.resumed"), snap.Counter("pool.scenarios_executed"); resumed != 2 || executed != 2 {
+		t.Fatalf("resumed %d, executed %d, want 2 and 2", resumed, executed)
+	}
+	perScenario := int64(len(core.StrategyNames) + 1)
+	if done != 4 || planned != 4 || runs != 2*perScenario || runs != snap.Counter("strategy.runs") {
+		t.Fatalf("line %q, want 4/4 scenarios done and %d runs started", line, 2*perScenario)
+	}
+	if failed != snap.Counter("pool.scenario_failures") || degraded != snap.Counter("pool.degraded_strategies") {
+		t.Fatalf("line %q disagrees with failure counters %v", line, snap.Counters)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 
 // DebugServer is the optional live-inspection listener of a run: the
 // standard pprof surface for CPU/heap/goroutine profiling plus the obs
-// metrics dump and the live progress endpoint that replaces the old
-// hand-rolled progress file.
+// metrics dump, whose pool.* counters are the run's live progress.
 type DebugServer struct {
 	lis net.Listener
 	srv *http.Server
@@ -22,10 +21,9 @@ type DebugServer struct {
 //
 //	/debug/pprof/   pprof index, profile, heap, goroutine, trace, ...
 //	/metrics        registry dump (JSON; ?format=prom for Prometheus text)
-//	/progress       live pool progress (JSON)
 //
 // The server runs until Close. A nil runtime still serves pprof; /metrics
-// and /progress report empty state.
+// reports empty state.
 func StartDebug(addr string, rt *Runtime) (*DebugServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -46,16 +44,12 @@ func StartDebug(addr string, rt *Runtime) (*DebugServer, error) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = rt.Metrics().WriteJSON(w)
 	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = rt.Progress().WriteJSON(w)
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "dfs debug listener\n/debug/pprof/\n/metrics\n/progress\n")
+		fmt.Fprint(w, "dfs debug listener\n/debug/pprof/\n/metrics\n")
 	})
 	s := &DebugServer{lis: lis, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(lis) }()

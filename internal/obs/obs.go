@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer of the DFS system:
 // a span-style tracer emitting JSONL via a pluggable Sink, a registry of
-// atomic counters / gauges / histograms with a test-friendly Snapshot, a
-// live progress reporter, and a debug HTTP listener exposing /debug/pprof,
-// /metrics, and /progress.
+// atomic counters / gauges / histograms with a test-friendly Snapshot, and a
+// debug HTTP listener exposing /debug/pprof and /metrics. A run's progress
+// is read off the registry's pool.* counters; nothing counts it twice.
 //
 // Everything is nil-safe by design: a nil *Runtime (and nil components
 // reached through it) turns every call into a no-op, so instrumented hot
@@ -26,22 +26,21 @@ import "context"
 // individually be nil (e.g. metrics without tracing); every accessor is safe
 // on a nil receiver.
 type Runtime struct {
-	tracer   *Tracer
-	metrics  *Registry
-	progress *Progress
+	tracer  *Tracer
+	metrics *Registry
 }
 
 // Option customizes New.
 type Option func(*Runtime)
 
-// WithTracer attaches a span tracer (nil by default: metrics and progress
-// without trace emission).
+// WithTracer attaches a span tracer (nil by default: metrics without trace
+// emission).
 func WithTracer(t *Tracer) Option { return func(rt *Runtime) { rt.tracer = t } }
 
-// New returns a Runtime with a fresh metrics registry and progress reporter;
-// add WithTracer to also record spans.
+// New returns a Runtime with a fresh metrics registry; add WithTracer to
+// also record spans.
 func New(opts ...Option) *Runtime {
-	rt := &Runtime{metrics: NewRegistry(), progress: NewProgress()}
+	rt := &Runtime{metrics: NewRegistry()}
 	for _, o := range opts {
 		o(rt)
 	}
@@ -62,14 +61,6 @@ func (rt *Runtime) Metrics() *Registry {
 		return nil
 	}
 	return rt.metrics
-}
-
-// Progress returns the progress reporter (nil when rt is nil).
-func (rt *Runtime) Progress() *Progress {
-	if rt == nil {
-		return nil
-	}
-	return rt.progress
 }
 
 type ctxKey struct{}

@@ -250,38 +250,6 @@ func TestRegistryWriteJSON(t *testing.T) {
 	}
 }
 
-func TestProgressLifecycle(t *testing.T) {
-	p := NewProgress()
-	p.BeginPool("HPO", 3)
-	p.StrategyDone(false)
-	p.StrategyDone(true)
-	p.ScenarioDone(false)
-	p.ScenarioDone(true)
-	s := p.State()
-	if s.Label != "HPO" || s.ScenariosTotal != 3 || s.ScenariosDone != 2 ||
-		s.ScenariosFailed != 1 || s.StrategyRuns != 2 || s.StrategyFailures != 1 {
-		t.Fatalf("bad state: %+v", s)
-	}
-	if !strings.Contains(p.Line(), "HPO: 2/3 scenarios (1 failed)") {
-		t.Fatalf("bad line: %q", p.Line())
-	}
-	p.EndPool()
-	p.BeginPool("utility", 1)
-	s = p.State()
-	if s.PoolsDone != 1 || s.ScenariosDone != 0 || s.Label != "utility" {
-		t.Fatalf("BeginPool must reset scenario counters, keep PoolsDone: %+v", s)
-	}
-
-	var nilP *Progress
-	nilP.BeginPool("x", 1)
-	nilP.ScenarioDone(false)
-	nilP.StrategyDone(false)
-	nilP.EndPool()
-	if nilP.State() != (ProgressState{}) {
-		t.Fatal("nil progress must read zero")
-	}
-}
-
 func TestRuntimeContextPlumbing(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context must yield nil runtime")
@@ -300,7 +268,7 @@ func TestRuntimeContextPlumbing(t *testing.T) {
 	}
 
 	var nilRT *Runtime
-	if nilRT.Tracer() != nil || nilRT.Metrics() != nil || nilRT.Progress() != nil {
+	if nilRT.Tracer() != nil || nilRT.Metrics() != nil {
 		t.Fatal("nil runtime accessors must return nil")
 	}
 	if NewContext(context.Background(), nil) != context.Background() {
@@ -311,7 +279,6 @@ func TestRuntimeContextPlumbing(t *testing.T) {
 func TestDebugServerEndpoints(t *testing.T) {
 	rt := New()
 	rt.Metrics().Counter("evals.trained").Add(3)
-	rt.Progress().BeginPool("smoke", 1)
 	srv, err := StartDebug("127.0.0.1:0", rt)
 	if err != nil {
 		t.Fatal(err)
@@ -342,14 +309,16 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if snap.Counter("evals.trained") != 3 {
 		t.Fatalf("/metrics lost the counter: %+v", snap)
 	}
-	var ps ProgressState
-	if err := json.Unmarshal(get("/progress"), &ps); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Label != "smoke" {
-		t.Fatalf("/progress lost the pool label: %+v", ps)
-	}
 	if body := get("/debug/pprof/"); !bytes.Contains(body, []byte("goroutine")) {
 		t.Fatal("/debug/pprof/ index does not list profiles")
+	}
+	// Progress is the pool.* counters on /metrics; there is no second route.
+	resp, err := http.Get(fmt.Sprintf("http://%s/progress", srv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /progress: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -51,7 +51,6 @@ const retryAfterSeconds = 2
 //	                       &from=<id> starts at the first shard scenario ≥ id)
 //	GET  /metrics          obs metrics registry      → 200 JSON
 //	                       (?format=prom → Prometheus text exposition)
-//	GET  /progress         live pool progress        → 200 JSON
 //	GET  /healthz          serving/draining state    → 200 JSON
 //	     /debug/pprof/...  live profiling
 //
@@ -67,10 +66,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /jobs/{id}/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /progress", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.rt.Progress().WriteJSON(w)
-	})
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -78,7 +73,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "dfsd selection service\nPOST /jobs\nGET /jobs\nGET /jobs/{id}\nGET /jobs/{id}/result\n/metrics /progress /healthz /debug/pprof/\n")
+		fmt.Fprint(w, "dfsd selection service\nPOST /jobs\nGET /jobs\nGET /jobs/{id}\nGET /jobs/{id}/result\n/metrics /healthz /debug/pprof/\n")
 	})
 	return mux
 }

@@ -149,13 +149,13 @@ type Job struct {
 	err      string
 	category core.FailureCategory
 	retries  int
-	records  int // checkpointed records so far (resumed + appended)
 	cost     float64
 	resumed  bool // re-enqueued from disk by a restarted daemon
 	pool     *bench.Pool
 
 	// live indexes completed records by scenario ID while the job runs (and
-	// after it finishes), feeding the chunked-CSV result stream; update is
+	// after it finishes), feeding the chunked-CSV result stream, the
+	// checkpoint follow stream and Status.RecordsDone; update is
 	// the change-notification channel: closed and replaced whenever a record
 	// lands or the state moves, so streamers wait without polling.
 	live   map[int]*bench.Record
@@ -177,8 +177,9 @@ type Status struct {
 	ID    string  `json:"id"`
 	State State   `json:"state"`
 	Spec  JobSpec `json:"spec"`
-	// RecordsDone counts checkpointed scenarios (monotone progress toward
-	// RecordsTotal, surviving drains and restarts).
+	// RecordsDone counts the job's completed records, resumed or executed:
+	// the size of the deduplicated index the result and checkpoint streams
+	// serve, so it is monotone toward RecordsTotal.
 	RecordsDone int `json:"records_done"`
 	// RecordsTotal is the number of scenarios this job will produce: the
 	// job's shard slice of Spec.Scenarios (equal to Spec.Scenarios for
@@ -203,7 +204,7 @@ func (j *Job) Status() Status {
 		ID:              j.ID,
 		State:           j.state,
 		Spec:            j.Spec,
-		RecordsDone:     j.records,
+		RecordsDone:     len(j.live),
 		RecordsTotal:    j.Spec.shardSpec().Size(j.Spec.Scenarios),
 		Retries:         j.retries,
 		Resumed:         j.resumed,
@@ -234,20 +235,6 @@ func (j *Job) setState(s State) {
 	j.mu.Lock()
 	j.state = s
 	j.notifyLocked()
-	j.mu.Unlock()
-}
-
-func (j *Job) setRecords(n int) {
-	j.mu.Lock()
-	if n > j.records {
-		j.records = n
-	}
-	j.mu.Unlock()
-}
-
-func (j *Job) addRecord() {
-	j.mu.Lock()
-	j.records++
 	j.mu.Unlock()
 }
 

@@ -98,9 +98,9 @@ type Config struct {
 	// BuildPool overrides the pool execution (tests); nil means
 	// bench.BuildPoolResumed.
 	BuildPool PoolBuilder
-	// Obs is the observability runtime backing /metrics and /progress; nil
-	// creates a private one whose tracer emits to TraceBroadcast, so SSE
-	// event streaming works out of the box.
+	// Obs is the observability runtime backing /metrics; nil creates a
+	// private one whose tracer emits to TraceBroadcast, so SSE event
+	// streaming works out of the box.
 	Obs *obs.Runtime
 	// TraceBroadcast is the in-process fan-out of the span stream backing
 	// GET /jobs/{id}/events. Nil creates a private one. A caller that builds
@@ -416,7 +416,6 @@ func (s *Server) scanDir() ([]*Job, error) {
 				return nil, fmt.Errorf("serve: job %s is done but its checkpoint has %d/%d records", job.ID, len(records), want)
 			}
 			job.pool = &bench.Pool{Config: cfg, Records: records}
-			job.records = len(records)
 			job.adoptPoolLocked(job.pool)
 			s.chargeTenant(job.Tenant, job.cost)
 		case job.state == StateFailed:
@@ -710,9 +709,8 @@ func (s *Server) buildOnce(ctx context.Context, job *Job, bcfg bench.Config) (p 
 	if err != nil {
 		return nil, err
 	}
-	job.setRecords(len(resumed))
-	// Resumed records are completed work: feed them to the live result
-	// stream exactly like freshly executed ones (publish dedups by ID, so a
+	// Resumed records are completed work: feed them to the live record
+	// index exactly like freshly executed ones (publish dedups by ID, so a
 	// retry re-reading the checkpoint replays nothing).
 	for i := range resumed {
 		job.publish(&resumed[i])
@@ -730,8 +728,8 @@ func (s *Server) buildOnce(ctx context.Context, job *Job, bcfg bench.Config) (p 
 	return p, err
 }
 
-// jobSink forwards records to the checkpoint writer while tracking the
-// job's monotone progress for GET /jobs/{id}.
+// jobSink forwards records to the checkpoint writer and publishes each to
+// the job's record index, which is the job's progress on GET /jobs/{id}.
 type jobSink struct {
 	inner bench.RecordSink
 	job   *Job
@@ -739,7 +737,6 @@ type jobSink struct {
 
 func (s *jobSink) Append(rec *bench.Record) error {
 	err := s.inner.Append(rec)
-	s.job.addRecord()
 	s.job.publish(rec)
 	return err
 }

@@ -158,8 +158,9 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("result CSV missing header: %q", string(csvBody[:min(64, len(csvBody))]))
 	}
 
-	// Unknown jobs are 404 on both endpoints.
-	for _, path := range []string{"/jobs/job-999999", "/jobs/job-999999/result"} {
+	// Unknown jobs are 404 on both endpoints, and there is no /progress
+	// route: progress is /metrics and GET /jobs/{id}.
+	for _, path := range []string{"/jobs/job-999999", "/jobs/job-999999/result", "/progress"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -170,9 +171,9 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 		}
 	}
 
-	// Observability surface: /metrics and /progress are JSON, /healthz says
+	// Observability surface: /metrics and /healthz are JSON, /healthz says
 	// serving, and the service counters moved.
-	for _, path := range []string{"/metrics", "/progress", "/healthz"} {
+	for _, path := range []string{"/metrics", "/healthz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -189,6 +190,48 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	snap := srv.rt.Metrics().Snapshot()
 	if snap.Counters["serve.queue.admitted"] != 1 || snap.Counters["serve.job.done"] != 1 {
 		t.Fatalf("counters: %v", snap.Counters)
+	}
+	checkInvariant(t, srv)
+}
+
+// TestConcurrentJobsProgress pins the single progress source on a daemon
+// running two jobs at once: each job's records_done is the size of its own
+// record index, and the pool counters on /metrics add up across both jobs
+// instead of one job's pool resetting the other's.
+func TestConcurrentJobsProgress(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 2, PoolWorkers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var ids []string
+	for _, n := range []int{6, 2} {
+		spec := JobSpec{Scenarios: n, Seed: 3, MaxEvals: 10, Datasets: []string{"COMPAS"}}
+		code, st, eb, _ := postJob(t, ts.URL, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d scenarios: code %d (%s)", n, code, eb.Error)
+		}
+		ids = append(ids, st.ID)
+	}
+	var total int64
+	for _, id := range ids {
+		st := awaitState(t, ts.URL, id, StateDone)
+		if st.RecordsDone != st.RecordsTotal {
+			t.Fatalf("job %s: records_done %d, records_total %d", id, st.RecordsDone, st.RecordsTotal)
+		}
+		total += int64(st.RecordsTotal)
+	}
+
+	snap := srv.rt.Metrics().Snapshot()
+	planned := snap.Counter("pool.scenarios_planned")
+	resumed := snap.Counter("pool.checkpoint.resumed")
+	executed := snap.Counter("pool.scenarios_executed")
+	if planned != total || resumed+executed != total {
+		t.Fatalf("pool.scenarios_planned %d, resumed %d + executed %d, want %d", planned, resumed, executed, total)
+	}
+	// No store and no failures: every executed scenario started all 16
+	// strategies plus the baseline.
+	if runs, want := snap.Counter("strategy.runs"), int64(len(core.StrategyNames)+1)*executed; runs != want {
+		t.Fatalf("strategy.runs %d, want %d", runs, want)
 	}
 	checkInvariant(t, srv)
 }

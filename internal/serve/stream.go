@@ -221,15 +221,10 @@ type traceLine struct {
 	Category string `json:"category"`
 }
 
-// progressEvent is the data payload of the synthesized SSE progress event.
+// progressEvent is the data payload of the synthesized SSE progress event:
+// the job's Status plus what only this stream knows.
 type progressEvent struct {
-	ID              string `json:"id"`
-	State           State  `json:"state"`
-	RecordsDone     int    `json:"records_done"`
-	RecordsTotal    int    `json:"records_total"`
-	Retries         int    `json:"retries,omitempty"`
-	Error           string `json:"error,omitempty"`
-	FailureCategory string `json:"failure_category,omitempty"`
+	Status
 	// Memo accounting over the eval events seen by this stream (the raw
 	// per-evaluation events are folded into this summary, not forwarded).
 	MemoHits    uint64  `json:"memo_hits"`
@@ -395,18 +390,11 @@ func (b *sseBridge) event(name string, data []byte) error {
 
 // progress emits a synthesized summary frame under the given event name.
 func (b *sseBridge) progress(name string) error {
-	st := b.job.Status()
 	pe := progressEvent{
-		ID:              st.ID,
-		State:           st.State,
-		RecordsDone:     st.RecordsDone,
-		RecordsTotal:    st.RecordsTotal,
-		Retries:         st.Retries,
-		Error:           st.Error,
-		FailureCategory: st.FailureCategory,
-		MemoHits:        b.hits,
-		MemoMisses:      b.misses,
-		DroppedLines:    b.sub.Dropped(),
+		Status:       b.job.Status(),
+		MemoHits:     b.hits,
+		MemoMisses:   b.misses,
+		DroppedLines: b.sub.Dropped(),
 	}
 	if total := b.hits + b.misses; total > 0 {
 		pe.MemoHitRate = float64(b.hits) / float64(total)

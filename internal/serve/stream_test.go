@@ -502,6 +502,9 @@ func TestEventsSSEBridge(t *testing.T) {
 	if last.RecordsDone != 2 || last.RecordsTotal != 2 {
 		t.Fatalf("final progress records %d/%d, want 2/2", last.RecordsDone, last.RecordsTotal)
 	}
+	if last.Spec.Scenarios != 2 || last.Cost <= 0 {
+		t.Fatalf("final frame does not carry the job's whole status: %+v", last.Status)
+	}
 	if last.MemoHits+last.MemoMisses == 0 {
 		t.Fatal("eval events were never counted into the memo summary")
 	}
