@@ -6,9 +6,10 @@
 // cold runs — only the physical model fitting is skipped.
 //
 // Layout: one directory holds numbered write-ahead segments (seg-NNNNNN.wal).
-// Every segment is a JSON-lines file — a versioned header line followed by
-// one self-contained record per line — written append-only and fsync'd per
-// flush batch, so a torn tail after a crash loses at most the last
+// Every segment is a versioned JSON header line followed by binary frames,
+// one self-contained record each — u32 LE payload length, u32 LE CRC-32C of
+// the payload, then the payload (codec.go) — written append-only and fsync'd
+// per flush batch, so a torn tail after a crash loses at most the last
 // unflushed batch (this is a cache; the entries are recomputable).
 //
 // Concurrency: each Open creates its own segment (O_EXCL) and holds an
@@ -24,8 +25,6 @@ package evalstore
 
 import (
 	"bytes"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,10 +52,9 @@ type Key struct {
 }
 
 // Result is the physical outcome of training one subset — the mirror of
-// core's physical struct. Float64 values survive the JSON round trip
-// bit-exactly (encoding/json emits the shortest representation that parses
-// back to the same float), which the bit-identical replay guarantee relies
-// on, exactly as bench checkpoints already do for records.
+// core's physical struct. Float64 values are stored as their IEEE-754 bits,
+// so they replay bit-exactly, which the bit-identical replay guarantee
+// relies on. Non-finite values are never persisted (see Put).
 type Result struct {
 	Val        constraint.Scores
 	ValCustom  []float64
@@ -71,7 +69,7 @@ type Result struct {
 
 const (
 	segMagic   = "dfs-evalstore"
-	segVersion = 1
+	segVersion = 2
 	segPrefix  = "seg-"
 	segSuffix  = ".wal"
 
@@ -81,29 +79,6 @@ const (
 	// single-process reruns never pay for rewriting.
 	defaultCompactAt = 8
 )
-
-type segHeader struct {
-	Magic   string `json:"magic"`
-	Version int    `json:"version"`
-}
-
-// recordLine is the wire form of one (Key, Result) pair. The mask is
-// hex-encoded: its raw bytes are arbitrary and would not survive a JSON
-// string round trip.
-type recordLine struct {
-	Scenario   uint64            `json:"scn"`
-	Mask       string            `json:"mask"`
-	Kind       string            `json:"kind"`
-	HPO        bool              `json:"hpo,omitempty"`
-	Eps        float64           `json:"eps,omitempty"`
-	Seed       uint64            `json:"seed"`
-	Val        constraint.Scores `json:"val"`
-	ValCustom  []float64         `json:"valc,omitempty"`
-	Test       constraint.Scores `json:"test"`
-	TestCustom []float64         `json:"testc,omitempty"`
-	HasTest    bool              `json:"has_test,omitempty"`
-	Blob       []byte            `json:"blob,omitempty"` // base64 via encoding/json
-}
 
 // Options configure Open.
 type Options struct {
@@ -127,8 +102,8 @@ type Stats struct {
 	Puts         uint64 // new or upgraded entries accepted
 	WALBytes     uint64 // bytes appended (and fsync'd) to this process's segment
 	Compactions  uint64 // segment compactions performed
-	CorruptLines uint64 // interior lines dropped while loading (torn tails excluded)
-	DroppedPuts  uint64 // puts lost to marshal or latched write errors
+	CorruptLines uint64 // segments cut short at a corrupt frame or skipped for their header (torn tails excluded)
+	DroppedPuts  uint64 // puts never persisted: non-finite values or a latched write error
 }
 
 // Store is one process's handle on the shared evaluation cache: the full
@@ -141,12 +116,13 @@ type Store struct {
 	index map[Key]Result
 
 	// wmu guards the pending write-behind buffer and the segment file.
-	// Put only appends bytes to pending under wmu — the fsync happens on
+	// Put only appends a frame to pending under wmu — the fsync happens on
 	// the flusher goroutine (or in Flush/Close), off the training hot path.
-	wmu     sync.Mutex
-	seg     *os.File
-	pending []byte
-	werr    error // latched write error; further puts are dropped
+	wmu         sync.Mutex
+	seg         *os.File
+	pending     []byte
+	pendingPuts int   // frames in pending
+	werr        error // latched write error; further puts are dropped
 
 	kick chan struct{}
 	quit chan struct{}
@@ -275,12 +251,12 @@ func parseSeq(name string) (int, error) {
 }
 
 // loadSegment merges one segment's records into the index. Damage is
-// tolerated, never fatal: a foreign or future-versioned header skips the
-// file, a torn (unterminated, unparseable) final line is dropped silently —
-// that is the normal crash signature — and a corrupt interior line abandons
-// the rest of that segment, keeping the valid prefix and every other
-// segment. A segment deleted between ReadDir and here (a concurrent
-// compactor won the race) is treated as empty.
+// tolerated, never fatal: a foreign or other-versioned header skips the
+// file, a torn tail is dropped silently — that is the normal crash
+// signature — and a corrupt frame abandons the rest of that segment,
+// keeping the valid prefix and every other segment; either damage counts
+// one corrupt line. A segment deleted between ReadDir and here (a
+// concurrent compactor won the race) is treated as empty.
 func (s *Store) loadSegment(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -289,44 +265,8 @@ func (s *Store) loadSegment(path string) error {
 		}
 		return fmt.Errorf("evalstore: %w", err)
 	}
-	terminated := len(data) > 0 && data[len(data)-1] == '\n'
-	lines := bytes.Split(data, []byte("\n"))
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-	}
-	if len(lines) == 0 {
-		return nil
-	}
-	var hdr segHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Magic != segMagic || hdr.Version != segVersion {
+	if decodeSegment(data, func(k Key, r Result) { s.merge(k, r) }) {
 		s.corrupt.Add(1)
-		return nil
-	}
-	for i, line := range lines[1:] {
-		last := i == len(lines)-2
-		var rec recordLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if last && !terminated {
-				break // torn tail: the crash lost a partial final write
-			}
-			s.corrupt.Add(1)
-			break // corrupt interior: keep the valid prefix, drop the rest
-		}
-		mask, err := hex.DecodeString(rec.Mask)
-		if err != nil {
-			s.corrupt.Add(1)
-			break
-		}
-		k := Key{
-			Scenario: rec.Scenario, Mask: string(mask), Kind: rec.Kind,
-			HPO: rec.HPO, Eps: rec.Eps, Seed: rec.Seed,
-		}
-		r := Result{
-			Val: rec.Val, ValCustom: rec.ValCustom,
-			Test: rec.Test, TestCustom: rec.TestCustom, HasTest: rec.HasTest,
-			Blob: rec.Blob,
-		}
-		s.merge(k, r)
 	}
 	return nil
 }
@@ -361,10 +301,7 @@ func (s *Store) createSegment(seq int) error {
 			f.Close()
 			return fmt.Errorf("evalstore: locking own segment %s: %w", path, err)
 		}
-		hdr, err := json.Marshal(segHeader{Magic: segMagic, Version: segVersion})
-		if err == nil {
-			_, err = f.Write(append(hdr, '\n'))
-		}
+		_, err = f.Write(headerLine)
 		if err == nil {
 			err = f.Sync()
 		}
@@ -437,17 +374,11 @@ func (s *Store) compact(segs []string, seq int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var buf bytes.Buffer
-	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Version: segVersion})
-	buf.Write(append(hdr, '\n'))
+	buf := bytes.Clone(headerLine)
 	for _, k := range keys {
-		line, err := marshalRecord(k, merged.index[k])
-		if err != nil {
-			continue
-		}
-		buf.Write(line)
+		buf, _ = appendRecord(buf, k, merged.index[k]) // loaded entries are finite
 	}
-	if _, err := f.Write(buf.Bytes()); err == nil {
+	if _, err := f.Write(buf); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -484,20 +415,6 @@ func keyLess(a, b Key) bool {
 	return a.Seed < b.Seed
 }
 
-func marshalRecord(k Key, r Result) ([]byte, error) {
-	line, err := json.Marshal(recordLine{
-		Scenario: k.Scenario, Mask: hex.EncodeToString([]byte(k.Mask)),
-		Kind: k.Kind, HPO: k.HPO, Eps: k.Eps, Seed: k.Seed,
-		Val: r.Val, ValCustom: r.ValCustom,
-		Test: r.Test, TestCustom: r.TestCustom, HasTest: r.HasTest,
-		Blob: r.Blob,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
 // Lookup returns the stored result for the key, if any.
 func (s *Store) Lookup(k Key) (Result, bool) {
 	s.mu.RLock()
@@ -515,20 +432,24 @@ func (s *Store) Lookup(k Key) (Result, bool) {
 // sibling lookups hit without waiting for disk); the WAL append is
 // write-behind — batched and fsync'd by the flusher goroutine — so the
 // training hot path never blocks on disk. A crash can lose at most the
-// last unflushed batch, which only costs recomputation.
+// last unflushed batch, which only costs recomputation. A result holding a
+// NaN or infinite value stays in the index but is never persisted; it
+// counts as a dropped put.
 func (s *Store) Put(k Key, r Result) {
 	if !s.merge(k, r) {
 		return
 	}
 	s.puts.Add(1)
-	line, err := marshalRecord(k, r)
+	s.wmu.Lock()
+	var err error
+	if s.pending, err = appendRecord(s.pending, k, r); err == nil {
+		s.pendingPuts++
+	}
+	s.wmu.Unlock()
 	if err != nil {
 		s.dropped.Add(1)
 		return
 	}
-	s.wmu.Lock()
-	s.pending = append(s.pending, line...)
-	s.wmu.Unlock()
 	select {
 	case s.kick <- struct{}{}:
 	default:
@@ -554,10 +475,8 @@ func (s *Store) flushOnce() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.werr != nil {
-		if n := bytes.Count(s.pending, []byte("\n")); n > 0 {
-			s.dropped.Add(uint64(n))
-			s.pending = s.pending[:0]
-		}
+		s.dropped.Add(uint64(s.pendingPuts))
+		s.pending, s.pendingPuts = s.pending[:0], 0
 		return s.werr
 	}
 	if len(s.pending) == 0 {
@@ -573,7 +492,7 @@ func (s *Store) flushOnce() error {
 	}
 	s.walBytes.Add(uint64(len(s.pending)))
 	s.mWALBytes.Add(int64(len(s.pending)))
-	s.pending = s.pending[:0]
+	s.pending, s.pendingPuts = s.pending[:0], 0
 	return nil
 }
 

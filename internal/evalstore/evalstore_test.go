@@ -1,6 +1,8 @@
 package evalstore
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +15,7 @@ import (
 )
 
 // testKey builds a key with a raw (non-UTF-8) mask so every test exercises
-// the hex round trip the wire format relies on.
+// the mask's raw-byte round trip through a frame.
 func testKey(i int) Key {
 	return Key{
 		Scenario: 0xfeed + uint64(i/7),
@@ -31,6 +33,9 @@ func testResult(i int) Result {
 		ValCustom: []float64{float64(i) / 3},
 	}
 }
+
+// marshalRecord is one record's frame, as Put appends it to the WAL.
+func marshalRecord(k Key, r Result) ([]byte, error) { return appendRecord(nil, k, r) }
 
 func openT(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -105,12 +110,16 @@ func TestStoreTornTailDropped(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, have %v", segs)
 	}
-	// Simulate a crash mid-append: a partial record with no terminator.
+	// Simulate a crash mid-append: the first half of a real frame.
+	frame, err := marshalRecord(testKey(3), testResult(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"scn":1,"mask":"ff","ki`); err != nil {
+	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -136,8 +145,12 @@ func TestStoreCorruptInteriorKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := `{"magic":"dfs-evalstore","version":1}` + "\n" +
-		string(rec0) + "#### flipped bits ####\n" + string(rec1)
+	rec2, err := marshalRecord(testKey(2), testResult(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1[len(rec1)/2] ^= 0x04 // one flipped bit inside the middle frame
+	content := string(headerLine) + string(rec0) + string(rec1) + string(rec2)
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +163,13 @@ func TestStoreCorruptInteriorKeepsPrefix(t *testing.T) {
 	if _, ok := s.Lookup(testKey(0)); !ok {
 		t.Fatal("prefix record lost")
 	}
-	if _, ok := s.Lookup(testKey(1)); ok {
-		t.Fatal("record after corruption must be abandoned")
+	for _, i := range []int{1, 2} {
+		if _, ok := s.Lookup(testKey(i)); ok {
+			t.Fatalf("record %d at or after the corruption must be abandoned", i)
+		}
 	}
-	if st.CorruptLines == 0 {
-		t.Fatalf("corruption not counted: %s", st)
+	if st.CorruptLines != 1 {
+		t.Fatalf("corruption not counted once: %s", st)
 	}
 }
 
@@ -408,5 +423,62 @@ func TestStoreStatsString(t *testing.T) {
 func TestOpenEmptyDirRejected(t *testing.T) {
 	if _, err := Open("", Options{}); err == nil {
 		t.Fatal("want error for empty dir")
+	}
+}
+
+// TestStoreNonFinitePutsNotPersisted pins the persisted set across the
+// codec change: a result holding NaN or ±Inf serves lookups in the handle
+// that put it, is never written, and counts as a dropped put.
+func TestStoreNonFinitePutsNotPersisted(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	nanEO := testResult(1)
+	nanEO.Val.EO = math.NaN()
+	infCustom := testResult(2)
+	infCustom.ValCustom = []float64{math.Inf(1)}
+	s.Put(testKey(1), nanEO)
+	s.Put(testKey(2), infCustom)
+	s.Put(testKey(3), testResult(3))
+	for _, i := range []int{1, 2, 3} {
+		if _, ok := s.Lookup(testKey(i)); !ok {
+			t.Fatalf("key %d misses in the handle that put it", i)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Puts != 3 || st.DroppedPuts != 2 {
+		t.Fatalf("want 3 puts with the 2 non-finite ones dropped: %s", st)
+	}
+	r := openT(t, dir, Options{})
+	for _, i := range []int{1, 2} {
+		if _, ok := r.Lookup(testKey(i)); ok {
+			t.Fatalf("non-finite key %d replayed from disk", i)
+		}
+	}
+	if _, ok := r.Lookup(testKey(3)); !ok {
+		t.Fatal("finite key lost")
+	}
+}
+
+// TestStoreLatchedWriteErrorCountsPuts pins dropped-put accounting after a
+// write error: one per put, however many 0x0A bytes its frame holds.
+func TestStoreLatchedWriteErrorCountsPuts(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{})
+	s.seg.Close() // every later append fails and latches
+	const n = 3
+	for i := 0; i < n; i++ {
+		k := Key{Scenario: 0x0a0a0a0a, Mask: "\n\n\n", Kind: "LR", Seed: uint64(i)}
+		r := Result{Val: constraint.Scores{F1: math.Float64frombits(0x0a0a0a0a0a0a0a0a)}, ValCustom: []float64{10}}
+		if frame, err := marshalRecord(k, r); err != nil || bytes.Count(frame, []byte("\n")) < 2 {
+			t.Fatalf("frame %q (%v) must hold several newline bytes", frame, err)
+		}
+		s.Put(k, r)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("closing over a closed segment file succeeded")
+	}
+	if st := s.Stats(); st.Puts != n || st.DroppedPuts != n || st.WALBytes != 0 {
+		t.Fatalf("want %d puts, all dropped, none written: %s", n, st)
 	}
 }
