@@ -238,9 +238,11 @@ func WithMaxEvaluations(n int) Option { return func(o *options) { o.maxEvals = n
 
 // WithWallClock replaces the simulated cost budget with a literal wall-clock
 // deadline: the search stops after d of real time, whatever
-// Constraints.MaxSearchCost says (it must still be positive). Use this for
-// production deployments; the simulated meter remains the right choice for
-// reproducible experiments.
+// Constraints.MaxSearchCost says (it must still be positive). A transient
+// retry spends what is left of the deadline, and a portfolio's members,
+// which run concurrently, share it. Costs are then reported in seconds. Use
+// this for production deployments; the simulated meter remains the right
+// choice for reproducible experiments.
 func WithWallClock(d time.Duration) Option { return func(o *options) { o.wallClock = d } }
 
 // WithoutEvaluationSharing disables the cross-member trained-subset memo in
@@ -308,6 +310,17 @@ func EqualizedOdds(yTrue, yPred, sensitive []int) float64 {
 	return metrics.EqualizedOdds(yTrue, yPred, sensitive)
 }
 
+// meter returns the budget meter of a run: nil, so each attempt gets a fresh
+// simulated budget, or one wall-clock deadline under WithWallClock. A
+// WallMeter never changes after it is created, so portfolio members can
+// share it.
+func (o options) meter() budget.Meter {
+	if o.wallClock > 0 {
+		return budget.NewWall(o.wallClock)
+	}
+	return nil
+}
+
 func buildOptions(opts []Option) options {
 	o := options{strategy: "SFFS(NR)", seed: 1}
 	for _, fn := range opts {
@@ -359,12 +372,7 @@ func SelectContext(ctx context.Context, d *Dataset, kind ModelKind, cs Constrain
 		end(nil, err)
 		return nil, err
 	}
-	var res core.RunResult
-	if o.wallClock > 0 {
-		res, err = core.RunStrategyWithMeterSharedContext(ctx, s, scn, budget.NewWall(o.wallClock), memo, o.seed, o.maxEvals)
-	} else {
-		res, err = core.RunStrategySharedContext(ctx, s, scn, memo, o.seed, o.maxEvals)
-	}
+	res, err := core.RunStrategy(ctx, s, scn, o.meter(), memo, o.seed, o.maxEvals)
 	// The store is a cache: a failed flush at close only costs future warmth,
 	// never this run's result.
 	_ = closeStore()
@@ -470,6 +478,7 @@ func RunPortfolioContext(ctx context.Context, d *Dataset, kind ModelKind, cs Con
 		err error
 	}
 	outcomes := make([]outcome, len(strategies))
+	meter := o.meter()
 	var wg sync.WaitGroup
 	for i, name := range strategies {
 		wg.Add(1)
@@ -480,7 +489,7 @@ func RunPortfolioContext(ctx context.Context, d *Dataset, kind ModelKind, cs Con
 				outcomes[i] = outcome{err: err}
 				return
 			}
-			res, err := core.RunStrategySharedContext(ctx, s, scn, memo, o.seed, o.maxEvals)
+			res, err := core.RunStrategy(ctx, s, scn, meter, memo, o.seed, o.maxEvals)
 			if err != nil {
 				outcomes[i] = outcome{err: err}
 				return

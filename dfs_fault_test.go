@@ -1,7 +1,9 @@
 package dfs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"github.com/declarative-fs/dfs/internal/core"
 	"github.com/declarative-fs/dfs/internal/faultinject"
+	"github.com/declarative-fs/dfs/internal/obs"
 )
 
 // withFaultyStrategies redirects strategy construction so the named
@@ -200,5 +203,91 @@ func TestPortfolioDeterministicAcrossRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("portfolio not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestWallClockSelectRetriesTransient pins that a wall-clock Select has the
+// simulated path's fault tolerance: a strategy failing transiently once is
+// retried within the deadline, under one strategy_run span below the select
+// span.
+func TestWallClockSelectRetriesTransient(t *testing.T) {
+	d, err := GenerateBuiltin("COMPAS", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := newStrategy
+	newStrategy = func(name string) (core.Strategy, error) {
+		s, err := orig(name)
+		if err != nil {
+			return nil, err
+		}
+		return &faultinject.Strategy{Inner: s, FailFirst: 1,
+			Fault: faultinject.Fault{Kind: faultinject.TransientError}}, nil
+	}
+	t.Cleanup(func() { newStrategy = orig })
+
+	var buf bytes.Buffer
+	rt := obs.New(obs.WithTracer(obs.NewWriterTracer(&buf)))
+	_, err = SelectContext(obs.NewContext(context.Background(), rt), d, LR, easyCS(),
+		WithWallClock(30*time.Second), WithSeed(3), WithMaxEvaluations(40))
+	if err != nil {
+		t.Fatalf("a transient failure within the retry budget must not fail the run: %v", err)
+	}
+	snap := rt.Metrics().Snapshot()
+	if got := snap.Counter("strategy.retries"); got != 1 {
+		t.Fatalf("strategy.retries = %d, want 1", got)
+	}
+	if got := snap.Counter("strategy.runs"); got != 1 {
+		t.Fatalf("strategy.runs = %d, want 1", got)
+	}
+	var selectID float64
+	var runParents []float64
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var r map[string]any
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		if r["t"] != "start" {
+			continue
+		}
+		switch r["name"] {
+		case "select":
+			selectID, _ = r["id"].(float64)
+		case "strategy_run":
+			parent, _ := r["parent"].(float64)
+			runParents = append(runParents, parent)
+		}
+	}
+	if selectID == 0 || len(runParents) != 1 || runParents[0] != selectID {
+		t.Fatalf("want one strategy_run span under select span %v, got parents %v", selectID, runParents)
+	}
+}
+
+// TestPortfolioHonoursWallClock pins that RunPortfolio meters its members
+// with the WithWallClock deadline, as Select does: an expired deadline
+// leaves the portfolio unsatisfied, and a live one, charged by every member
+// at once, reports its cost in seconds of that deadline.
+func TestPortfolioHonoursWallClock(t *testing.T) {
+	d, err := GenerateBuiltin("COMPAS", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := RunPortfolio(d, LR, easyCS(), portfolioStrategies(),
+		WithWallClock(time.Nanosecond), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Satisfied {
+		t.Fatalf("expired deadline still satisfied by %s at cost %v", sel.Strategy, sel.Cost)
+	}
+
+	sel, err = RunPortfolio(d, LR, easyCS(), portfolioStrategies(),
+		WithWallClock(30*time.Second), WithSeed(3), WithMaxEvaluations(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.Satisfied || sel.Cost <= 0 || sel.Cost >= 30 {
+		t.Fatalf("live deadline: satisfied %v at cost %v, want satisfied within 30 s", sel.Satisfied, sel.Cost)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -142,7 +143,7 @@ func FloatingAblation(datasetName string, trials int, seed uint64) (*FloatingAbl
 				if err != nil {
 					return nil, err
 				}
-				out, err := core.RunStrategy(s, scn, seed+uint64(trial), 120)
+				out, err := core.RunStrategy(context.Background(), s, scn, nil, nil, seed+uint64(trial), 120)
 				if err != nil {
 					return nil, err
 				}

@@ -109,24 +109,6 @@ type CheckpointWriter struct {
 	err  error
 }
 
-// Path returns the checkpoint file path.
-func (w *CheckpointWriter) Path() string {
-	if w == nil {
-		return ""
-	}
-	return w.path
-}
-
-// Err returns the first write/sync/encode failure, if any.
-func (w *CheckpointWriter) Err() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Append implements RecordSink: one fsync'd JSON line per record.
 func (w *CheckpointWriter) Append(rec *Record) error {
 	if w == nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -57,7 +58,7 @@ func SequenceExperiment(datasetName string, trials int, seed uint64) (*SequenceE
 		if err != nil {
 			return nil, err
 		}
-		singleOut, err := core.RunStrategy(single, scn, seed+uint64(trial), 150)
+		singleOut, err := core.RunStrategy(context.Background(), single, scn, nil, nil, seed+uint64(trial), 150)
 		if err != nil {
 			return nil, err
 		}

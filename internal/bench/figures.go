@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -276,7 +277,7 @@ func figure5Cell(d *dataset.Dataset, cs constraint.Set, cfg Figure5Config, minF1
 		if err != nil {
 			return Figure5Cell{}, err
 		}
-		out, err := core.RunStrategy(s, scn, cfg.Seed^0xf5, cfg.MaxEvals)
+		out, err := core.RunStrategy(context.Background(), s, scn, nil, nil, cfg.Seed^0xf5, cfg.MaxEvals)
 		if err != nil {
 			return Figure5Cell{}, err
 		}

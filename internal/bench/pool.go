@@ -129,9 +129,9 @@ type RunOptions struct {
 	// spawned and the records flow into the pool unchanged.
 	Resume []Record
 	// Sink streams each newly completed record (checkpoint appender). Sink
-	// failures never kill the build: they are latched in the sink (see
-	// CheckpointWriter.Err) and counted/traced, and the pool completes in
-	// memory regardless.
+	// failures never kill the build: they are latched in the sink (a
+	// CheckpointWriter returns the first at Close) and counted/traced, and
+	// the pool completes in memory regardless.
 	Sink RecordSink
 	// Store is an already-open durable evaluation store (internal/evalstore)
 	// whose lifecycle the caller owns; cmd/benchmark and internal/serve share
@@ -341,22 +341,18 @@ func getDataset(seed uint64, name string) (*dataset.Dataset, error) {
 // plus the Original Features baseline on each. Scenario sampling and
 // execution are deterministic in cfg.Seed; scenarios run in parallel.
 func BuildPool(cfg Config) (*Pool, error) {
-	return BuildPoolContext(context.Background(), cfg)
+	return BuildPoolResumed(context.Background(), cfg, RunOptions{})
 }
 
-// BuildPoolContext is BuildPool with cancellation and graceful degradation:
-// a failing strategy or scenario is recorded (Record.Failures / Record.Err)
-// instead of sinking the whole multi-minute pool, and canceling ctx stops
-// in-flight strategy runs at their next charge point, returning the
-// completed prefix with Pool.Interrupted set. An error is returned only
-// when nothing survives — every completed scenario failed.
-func BuildPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
-	return BuildPoolResumed(ctx, cfg, RunOptions{})
-}
-
-// BuildPoolResumed is BuildPoolContext with crash-safety hooks: records in
-// opts.Resume are adopted without re-execution (their IDs never spawn a
-// scenario goroutine), each newly completed record is streamed to
+// BuildPoolResumed is BuildPool with cancellation, graceful degradation and
+// crash-safety hooks. A failing strategy or scenario is recorded
+// (Record.Failures / Record.Err) instead of sinking the whole multi-minute
+// pool, and canceling ctx stops in-flight strategy runs at their next charge
+// point, returning the completed prefix with Pool.Interrupted set. An error
+// is returned only when nothing survives — every completed scenario failed.
+//
+// Records in opts.Resume are adopted without re-execution (their IDs never
+// spawn a scenario goroutine), each newly completed record is streamed to
 // opts.Sink, and cfg.Shard restricts which scenario IDs run at all.
 // Because scenario execution is order-independent, the assembled pool is
 // bit-identical to an uninterrupted single-process BuildPool regardless of
@@ -541,8 +537,8 @@ func runScenario(ctx context.Context, cfg Config, cache *datasetCache, i int, sl
 				errs[j] = err
 				return
 			}
-			results[j], errs[j] = core.RunStrategySharedContext(
-				ctx, s, scn, memo, cfg.Seed^(uint64(i)<<8), cfg.MaxEvals)
+			results[j], errs[j] = core.RunStrategy(
+				ctx, s, scn, nil, memo, cfg.Seed^(uint64(i)<<8), cfg.MaxEvals)
 		}(j)
 	}
 	wg.Wait()

@@ -126,7 +126,7 @@ func TestPoolInterruption(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 		cancel()
 	}()
-	p, err := BuildPoolContext(ctx, cfg)
+	p, err := BuildPoolResumed(ctx, cfg, RunOptions{})
 	if err != nil {
 		t.Fatalf("interruption must return the partial pool: %v", err)
 	}

@@ -76,7 +76,7 @@ func TestPoolObservability(t *testing.T) {
 	var buf bytes.Buffer
 	rt := obs.New(obs.WithTracer(obs.NewWriterTracer(&buf)))
 	ctx := obs.NewContext(context.Background(), rt)
-	observed, err := BuildPoolContext(ctx, cfg)
+	observed, err := BuildPoolResumed(ctx, cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestProgressLine(t *testing.T) {
 func TestSharedMemoHitRateFloor(t *testing.T) {
 	rt := obs.New() // metrics only; no tracer
 	ctx := obs.NewContext(context.Background(), rt)
-	if _, err := BuildPoolContext(ctx, obsConfig()); err != nil {
+	if _, err := BuildPoolResumed(ctx, obsConfig(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := rt.Metrics().Snapshot()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -290,7 +291,7 @@ func TestAllStrategiesConstructAndRun(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
-			res, err := RunStrategy(s, scn, 3, 150)
+			res, err := RunStrategy(context.Background(), s, scn, nil, nil, 3, 150)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +317,7 @@ func TestOriginalFeaturesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
-	res, err := RunStrategy(s, scn, 4, 0)
+	res, err := RunStrategy(context.Background(), s, scn, nil, nil, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestRunStrategyFailureReportsDistances(t *testing.T) {
 	cs := constraint.Set{MinF1: 0.999, MaxSearchCost: 500, MaxFeatureFrac: 1}
 	scn := mustScenario(t, cs, model.KindNB, ModeSatisfy)
 	s, _ := New("SFS(NR)")
-	res, err := RunStrategy(s, scn, 5, 100)
+	res, err := RunStrategy(context.Background(), s, scn, nil, nil, 5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestRunStrategyDeterministic(t *testing.T) {
 	run := func() RunResult {
 		scn := mustScenario(t, cs, model.KindDT, ModeSatisfy)
 		s, _ := New("TPE(NR)")
-		res, err := RunStrategy(s, scn, 11, 150)
+		res, err := RunStrategy(context.Background(), s, scn, nil, nil, 11, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +378,7 @@ func TestFairnessConstraintPrunesBiasedFeature(t *testing.T) {
 	cs := constraint.Set{MinF1: 0.55, MaxSearchCost: 1e6, MaxFeatureFrac: 1, MinEO: 0.9}
 	scn := mustScenario(t, cs, model.KindLR, ModeSatisfy)
 	s, _ := New("SFFS(NR)")
-	res, err := RunStrategy(s, scn, 13, 250)
+	res, err := RunStrategy(context.Background(), s, scn, nil, nil, 13, 250)
 	if err != nil {
 		t.Fatal(err)
 	}

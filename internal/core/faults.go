@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"github.com/declarative-fs/dfs/internal/budget"
 	"github.com/declarative-fs/dfs/internal/constraint"
 	"github.com/declarative-fs/dfs/internal/obs"
 	"github.com/declarative-fs/dfs/internal/xrand"
@@ -55,8 +54,8 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// DefaultTransientRetries is how many perturbed-seed retries the ctx-aware
-// runners grant a transiently failing strategy.
+// DefaultTransientRetries is how many perturbed-seed retries RunStrategy
+// grants a transiently failing strategy.
 const DefaultTransientRetries = 2
 
 // FailureCategory is the shared failure taxonomy of a strategy run. The same
@@ -106,8 +105,8 @@ func Classify(err error) FailureCategory {
 }
 
 // PerturbSeed derives the deterministic retry seed for an attempt. Attempt 0
-// is the identity, so a fault-free run is byte-identical to the non-retrying
-// path; later attempts fold in a Weyl-sequence constant.
+// is the identity, so a fault-free run is byte-identical to a run that never
+// retries; later attempts fold in a Weyl-sequence constant.
 func PerturbSeed(seed uint64, attempt int) uint64 {
 	if attempt <= 0 {
 		return seed
@@ -117,7 +116,8 @@ func PerturbSeed(seed uint64, attempt int) uint64 {
 
 // runProtected invokes s.Run with panic isolation: a panicking strategy
 // becomes a *StrategyError carrying the stack instead of killing the process
-// (and, in portfolio runs, the sibling strategies).
+// (and, in portfolio runs, the sibling strategies). RunStrategy and every
+// RunSequence stage go through it.
 func runProtected(s Strategy, ev *Evaluator, rng *xrand.RNG) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -129,98 +129,6 @@ func runProtected(s Strategy, ev *Evaluator, rng *xrand.RNG) (err error) {
 		}
 	}()
 	return s.Run(ev, rng)
-}
-
-// RunStrategyWithMeterContext is RunStrategyWithMeter with cancellation:
-// the meter is wrapped so every charge point checks ctx, stopping the search
-// within one evaluation of cancellation. A canceled context returns ctx.Err()
-// (not a partial result); other failures surface as *StrategyError.
-func RunStrategyWithMeterContext(ctx context.Context, s Strategy, scn *Scenario, meter budget.Meter, seed uint64, maxEvals int) (RunResult, error) {
-	return runStrategyWithMeterMemoContext(ctx, s, scn, meter, seed, maxEvals, nil)
-}
-
-// RunStrategyWithMeterSharedContext is RunStrategyWithMeterContext against a
-// shared trained-subset memo (nil means a fully private cache) — the entry
-// point for wall-clock runs that still want memo or durable-store reuse.
-func RunStrategyWithMeterSharedContext(ctx context.Context, s Strategy, scn *Scenario, meter budget.Meter, memo *SharedMemo, seed uint64, maxEvals int) (RunResult, error) {
-	return runStrategyWithMeterMemoContext(ctx, s, scn, meter, seed, maxEvals, memo)
-}
-
-func runStrategyWithMeterMemoContext(ctx context.Context, s Strategy, scn *Scenario, meter budget.Meter, seed uint64, maxEvals int, memo *SharedMemo) (RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RunResult{}, err
-	}
-	res, err := runStrategyWithMeterMemoObs(s, scn, budget.WithContext(ctx, meter), seed, maxEvals, memo,
-		obs.FromContext(ctx), obs.SpanFromContext(ctx))
-	if cerr := ctx.Err(); cerr != nil {
-		return RunResult{}, cerr
-	}
-	return res, err
-}
-
-// RunStrategyContext executes one strategy with the full fault-tolerance
-// stack: cancellation via ctx, panic isolation, and up to
-// DefaultTransientRetries deterministic retries (fresh simulated budget,
-// PerturbSeed-derived seed) when the failure is classified IsTransient.
-// With a fault-free strategy it is byte-identical to RunStrategy.
-func RunStrategyContext(ctx context.Context, s Strategy, scn *Scenario, seed uint64, maxEvals int) (RunResult, error) {
-	return RunStrategySharedContext(ctx, s, scn, nil, seed, maxEvals)
-}
-
-// RunStrategySharedContext is RunStrategyContext against a shared
-// trained-subset memo (nil means a fully private cache). The memo key pins
-// the seed, so a transiently retried attempt (perturbed seed) never reuses
-// entries trained under the original seed; the results are byte-identical to
-// memo-less runs either way.
-func RunStrategySharedContext(ctx context.Context, s Strategy, scn *Scenario, memo *SharedMemo, seed uint64, maxEvals int) (RunResult, error) {
-	return RunStrategyRetryContext(ctx, s, scn, memo, seed, maxEvals, RetryPolicy{})
-}
-
-// RunStrategyRetryContext is RunStrategySharedContext under an explicit
-// RetryPolicy: transient failures are retried up to policy.Attempts() times
-// under PerturbSeed-derived seeds, waiting policy.Backoff between attempts
-// with the wait itself honoring cancellation (a SIGTERM mid-backoff returns
-// ctx.Err() immediately instead of sleeping through the drain). The zero
-// policy reproduces RunStrategySharedContext exactly.
-func RunStrategyRetryContext(ctx context.Context, s Strategy, scn *Scenario, memo *SharedMemo, seed uint64, maxEvals int, policy RetryPolicy) (RunResult, error) {
-	rt := obs.FromContext(ctx)
-	if rt != nil {
-		span := rt.Tracer().StartSpan(obs.SpanFromContext(ctx), "strategy_run",
-			obs.Str("strategy", s.Name()),
-			obs.Int("seed", int64(seed)),
-			obs.Bool("shared_memo", memo != nil))
-		ctx = obs.ContextWithSpan(ctx, span)
-		rt.Metrics().Counter("strategy.runs").Inc()
-	}
-	attempts := policy.Attempts()
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		// Between attempts: back off per the policy (ctx-aware), and for the
-		// first attempt just check for cancellation. Either way a canceled
-		// context surfaces as the run's failure, never as a silent sleep.
-		if err := policy.Wait(ctx, attempt); err != nil {
-			finishStrategyObs(rt, ctx, s.Name(), RunResult{}, err)
-			return RunResult{}, err
-		}
-		meter := budget.NewSim(scn.Constraints.MaxSearchCost)
-		res, err := runStrategyWithMeterMemoContext(ctx, s, scn, meter, PerturbSeed(seed, attempt), maxEvals, memo)
-		if err == nil {
-			finishStrategyObs(rt, ctx, s.Name(), res, nil)
-			return res, nil
-		}
-		lastErr = err
-		if !IsTransient(err) {
-			break
-		}
-		if rt != nil && attempt < attempts-1 {
-			rt.Metrics().Counter("strategy.retries").Inc()
-			rt.Tracer().Event(obs.SpanFromContext(ctx), "retry",
-				obs.Int("attempt", int64(attempt+1)),
-				obs.Str("error", err.Error()))
-		}
-	}
-	finishStrategyObs(rt, ctx, s.Name(), RunResult{}, lastErr)
-	return RunResult{}, lastErr
 }
 
 // finishStrategyObs closes the strategy_run span (the one carried by ctx)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -50,7 +49,7 @@ func TestRunStrategyIsolatesPanics(t *testing.T) {
 	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
 	s := &scriptedStrategy{inner: mustStrategy(t, "SFS(NR)"), failFirst: 1,
 		fault: func() error { return nil }}
-	_, err := RunStrategy(s, scn, 7, 20)
+	_, err := RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	var se *StrategyError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StrategyError, got %v", err)
@@ -71,7 +70,7 @@ func TestRunStrategyWrapsPlainErrors(t *testing.T) {
 	boom := errors.New("boom")
 	s := &scriptedStrategy{inner: mustStrategy(t, "SFS(NR)"), failFirst: 1,
 		fault: func() error { return boom }}
-	_, err := RunStrategy(s, scn, 7, 20)
+	_, err := RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	var se *StrategyError
 	if !errors.As(err, &se) || se.Panicked() {
 		t.Fatalf("want non-panic *StrategyError, got %v", err)
@@ -85,7 +84,7 @@ func TestExhaustedPropagatesThroughRunStrategyWithMeter(t *testing.T) {
 	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
 	// A zero-limit meter exhausts on the pre-check of the first evaluation:
 	// the run must end cleanly (no error) with nothing evaluated.
-	res, err := RunStrategyWithMeter(mustStrategy(t, "SFS(NR)"), scn, budget.NewSim(0), 7, 0)
+	res, err := RunStrategy(context.Background(), mustStrategy(t, "SFS(NR)"), scn, budget.NewSim(0), nil, 7, 0)
 	if err != nil {
 		t.Fatalf("exhaustion must not be an error: %v", err)
 	}
@@ -94,6 +93,52 @@ func TestExhaustedPropagatesThroughRunStrategyWithMeter(t *testing.T) {
 	}
 	if res.BestValDistance <= 0 {
 		t.Fatal("nothing-evaluated convention distance missing")
+	}
+}
+
+// chargeThenFail charges cost on its first run and then fails transiently;
+// every later run returns at once without charging.
+type chargeThenFail struct {
+	cost float64
+	runs int
+}
+
+func (s *chargeThenFail) Name() string { return "charge-then-fail" }
+
+func (s *chargeThenFail) Run(ev *Evaluator, _ *xrand.RNG) error {
+	s.runs++
+	if s.runs > 1 {
+		return nil
+	}
+	if err := ev.Meter().Charge(s.cost); err != nil {
+		return err
+	}
+	return &testTransientErr{}
+}
+
+// TestRunStrategyCallerMeterSpansAttempts pins the meter rule: every attempt
+// charges a caller's meter, so a retry spends what the failed attempt left
+// and the result's cost reads the whole run; a nil meter gives each attempt
+// a fresh simulated budget.
+func TestRunStrategyCallerMeterSpansAttempts(t *testing.T) {
+	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
+	const charge = 7.5
+	s := &chargeThenFail{cost: charge}
+	res, err := RunStrategy(context.Background(), s, scn, budget.NewSim(scn.Constraints.MaxSearchCost), nil, 7, 20)
+	if err != nil {
+		t.Fatalf("caller meter: %v", err)
+	}
+	if s.runs != 2 || res.TotalCost != charge {
+		t.Fatalf("caller meter: runs %d total cost %v, want 2 and %v", s.runs, res.TotalCost, charge)
+	}
+
+	s = &chargeThenFail{cost: charge}
+	res, err = RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
+	if err != nil {
+		t.Fatalf("nil meter: %v", err)
+	}
+	if s.runs != 2 || res.TotalCost != 0 {
+		t.Fatalf("nil meter: runs %d total cost %v, want 2 and 0", s.runs, res.TotalCost)
 	}
 }
 
@@ -124,7 +169,7 @@ func TestRunStrategyContextRetriesTransient(t *testing.T) {
 	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
 	s := &scriptedStrategy{inner: mustStrategy(t, "SFS(NR)"), failFirst: 2,
 		fault: func() error { return &ranking.EmbeddingError{Err: errors.New("singular")} }}
-	res, err := RunStrategyContext(context.Background(), s, scn, 7, 20)
+	res, err := RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	if err != nil {
 		t.Fatalf("transient failures within the retry budget: %v", err)
 	}
@@ -138,35 +183,18 @@ func TestRunStrategyContextRetriesTransient(t *testing.T) {
 	// One failure past the retry budget surfaces the transient error.
 	s = &scriptedStrategy{inner: mustStrategy(t, "SFS(NR)"), failFirst: DefaultTransientRetries + 1,
 		fault: func() error { return &ranking.EmbeddingError{Err: errors.New("singular")} }}
-	if _, err := RunStrategyContext(context.Background(), s, scn, 7, 20); !IsTransient(err) {
+	if _, err := RunStrategy(context.Background(), s, scn, nil, nil, 7, 20); !IsTransient(err) {
 		t.Fatalf("exhausted retries must surface the transient error, got %v", err)
 	}
 
 	// Non-transient failures never retry.
 	s = &scriptedStrategy{inner: mustStrategy(t, "SFS(NR)"), failFirst: 1,
 		fault: func() error { return nil }}
-	if _, err := RunStrategyContext(context.Background(), s, scn, 7, 20); err == nil {
+	if _, err := RunStrategy(context.Background(), s, scn, nil, nil, 7, 20); err == nil {
 		t.Fatal("panic must fail the run")
 	}
 	if s.runs != 1 {
 		t.Fatalf("panic retried %d times", s.runs-1)
-	}
-}
-
-func TestRunStrategyContextMatchesRunStrategy(t *testing.T) {
-	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
-	for _, name := range []string{"SFS(NR)", "TPE(NR)", "SA(NR)"} {
-		want, err := RunStrategy(mustStrategy(t, name), scn, 11, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunStrategyContext(context.Background(), mustStrategy(t, name), scn, 11, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: ctx runner diverged from RunStrategy:\n%+v\n%+v", name, want, got)
-		}
 	}
 }
 
@@ -176,7 +204,7 @@ func TestRunStrategyContextCancellation(t *testing.T) {
 	// Pre-canceled: no evaluation at all.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunStrategyContext(ctx, mustStrategy(t, "SFS(NR)"), scn, 7, 0); !errors.Is(err, context.Canceled) {
+	if _, err := RunStrategy(ctx, mustStrategy(t, "SFS(NR)"), scn, nil, nil, 7, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: %v", err)
 	}
 
@@ -184,7 +212,7 @@ func TestRunStrategyContextCancellation(t *testing.T) {
 	// next charge point and reports context.Canceled.
 	ctx, cancel = context.WithCancel(context.Background())
 	s := &cancelAfterStrategy{inner: mustStrategy(t, "SFS(NR)"), cancel: cancel}
-	if _, err := RunStrategyContext(ctx, s, scn, 7, 0); !errors.Is(err, context.Canceled) {
+	if _, err := RunStrategy(ctx, s, scn, nil, nil, 7, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: %v", err)
 	}
 }

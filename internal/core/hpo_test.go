@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/declarative-fs/dfs/internal/budget"
@@ -56,7 +57,7 @@ func TestHPOPicksBestGridPoint(t *testing.T) {
 func TestSVMScenarioRuns(t *testing.T) {
 	scn := mustScenario(t, easyConstraints(), model.KindSVM, ModeSatisfy)
 	s, _ := New("SFS(NR)")
-	res, err := RunStrategy(s, scn, 3, 60)
+	res, err := RunStrategy(context.Background(), s, scn, nil, nil, 3, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

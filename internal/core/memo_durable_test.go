@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestSharedMemoDurableReplayBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunStrategy(s, scn, seed, 30)
+				res, err := RunStrategy(context.Background(), s, scn, nil, nil, seed, 30)
 				if err != nil {
 					t.Fatalf("%s private: %v", name, err)
 				}
@@ -46,7 +47,7 @@ func TestSharedMemoDurableReplayBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := runStrategyWithMeterMemo(s, scn, newSim(scn), seed, 30, memo)
+					res, err := RunStrategy(context.Background(), s, scn, nil, memo, seed, 30)
 					if err != nil {
 						t.Fatalf("%s %s: %v", name, tag, err)
 					}
@@ -101,7 +102,7 @@ func TestSharedMemoDurableSeedIsolation(t *testing.T) {
 		}
 		memo := NewSharedMemo()
 		memo.AttachDurable(store, scn.ContentHash())
-		if _, err := runStrategyWithMeterMemo(s, scn, newSim(scn), seed, 20, memo); err != nil {
+		if _, err := RunStrategy(context.Background(), s, scn, nil, memo, seed, 20); err != nil {
 			t.Fatal(err)
 		}
 		st := memo.Stats()
@@ -133,7 +134,7 @@ func TestSharedMemoDurableScenarioIsolation(t *testing.T) {
 		}
 		memo := NewSharedMemo()
 		memo.AttachDurable(store, hash)
-		if _, err := runStrategyWithMeterMemo(s, scn, newSim(scn), 11, 20, memo); err != nil {
+		if _, err := RunStrategy(context.Background(), s, scn, nil, memo, 11, 20); err != nil {
 			t.Fatal(err)
 		}
 		if st := memo.Stats(); st.HitsDisk != 0 {

@@ -1,19 +1,15 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
-	"github.com/declarative-fs/dfs/internal/budget"
 	"github.com/declarative-fs/dfs/internal/constraint"
 	"github.com/declarative-fs/dfs/internal/model"
 	"github.com/declarative-fs/dfs/internal/synth"
 )
-
-func newSim(scn *Scenario) budget.Meter {
-	return budget.NewSim(scn.Constraints.MaxSearchCost)
-}
 
 // memoScenario builds a small scenario whose constraint set exercises the
 // randomized evaluation paths (DP training noise, safety attacks) — the ones
@@ -61,7 +57,7 @@ func TestSharedMemoMatchesPrivateRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunStrategy(s, scn, seed, 30)
+				res, err := RunStrategy(context.Background(), s, scn, nil, nil, seed, 30)
 				if err != nil {
 					t.Fatalf("%s private: %v", name, err)
 				}
@@ -74,8 +70,7 @@ func TestSharedMemoMatchesPrivateRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				meter := newSim(scn)
-				res, err := runStrategyWithMeterMemo(s, scn, meter, seed, 30, memo)
+				res, err := RunStrategy(context.Background(), s, scn, nil, memo, seed, 30)
 				if err != nil {
 					t.Fatalf("%s shared: %v", name, err)
 				}
@@ -112,7 +107,7 @@ func TestSharedMemoConcurrentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunStrategy(s, scn, seed, 30)
+		res, err := RunStrategy(context.Background(), s, scn, nil, nil, seed, 30)
 		if err != nil {
 			t.Fatalf("%s private: %v", name, err)
 		}
@@ -132,7 +127,7 @@ func TestSharedMemoConcurrentRuns(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			shared[i], errs[i] = runStrategyWithMeterMemo(s, scn, newSim(scn), seed, 30, memo)
+			shared[i], errs[i] = RunStrategy(context.Background(), s, scn, nil, memo, seed, 30)
 		}(i, name)
 	}
 	wg.Wait()
@@ -157,11 +152,11 @@ func TestSharedMemoSeedIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runStrategyWithMeterMemo(s, scn, newSim(scn), 11, 20, memo); err != nil {
+	if _, err := RunStrategy(context.Background(), s, scn, nil, memo, 11, 20); err != nil {
 		t.Fatal(err)
 	}
 	before := memo.Stats()
-	if _, err := runStrategyWithMeterMemo(s, scn, newSim(scn), PerturbSeed(11, 1), 20, memo); err != nil {
+	if _, err := RunStrategy(context.Background(), s, scn, nil, memo, PerturbSeed(11, 1), 20); err != nil {
 		t.Fatal(err)
 	}
 	after := memo.Stats()

@@ -56,7 +56,7 @@ func TestObservedRunMatchesBareRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := RunStrategyContext(context.Background(), s, seedScn, 11, 30)
+	bare, err := RunStrategy(context.Background(), s, seedScn, nil, nil, 11, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestObservedRunMatchesBareRun(t *testing.T) {
 	var buf bytes.Buffer
 	rt := obs.New(obs.WithTracer(obs.NewWriterTracer(&buf)))
 	ctx := obs.NewContext(context.Background(), rt)
-	observed, err := RunStrategyContext(ctx, s, memoScenario(t, cs), 11, 30)
+	observed, err := RunStrategy(ctx, s, memoScenario(t, cs), nil, nil, 11, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

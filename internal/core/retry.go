@@ -9,9 +9,9 @@ import (
 
 // RetryPolicy describes a bounded, deterministic transient-retry schedule:
 // how many attempts a transiently failing operation gets and how long to
-// back off between them. The zero value reproduces the historical behavior
-// of the ctx-aware strategy runners — DefaultTransientRetries immediate
-// retries with no backoff — so existing callers are unchanged.
+// back off between them. The zero value is RunStrategy's fixed schedule —
+// DefaultTransientRetries immediate retries with no backoff; the serving
+// layer's job-level and fan-out shard retries configure their own.
 //
 // Backoff is capped exponential with deterministic jitter: retry k waits
 // jitter(min(BaseBackoff<<(k-1), CapBackoff)), where jitter draws from an

@@ -17,6 +17,10 @@ import (
 // which is warm-started through the shared evaluation cache — subsets the
 // previous strategy already trained are free for the successor.
 //
+// Each stage runs panic-isolated: a panicking stage ends the sequence, as a
+// failing one does, with a "core: sequence stage …" error — wrapping its
+// panicked *StrategyError — instead of crashing the process.
+//
 // The returned result's Strategy field names the stage that found the
 // solution, or "Sequence(a → b → …)" when none did.
 func RunSequence(strategies []Strategy, scn *Scenario, seed uint64, maxEvals int) (RunResult, error) {
@@ -44,7 +48,7 @@ func RunSequence(strategies []Strategy, scn *Scenario, seed uint64, maxEvals int
 		stage := budget.NewStaged(parent, allowance)
 		ev.SetMeter(stage)
 		hadSolution := ev.Solution() != nil
-		if err := s.Run(ev, xrand.NewStream(seed, uint64(i)*2+0x5e9)); err != nil &&
+		if err := runProtected(s, ev, xrand.NewStream(seed, uint64(i)*2+0x5e9)); err != nil &&
 			!errors.Is(err, budget.ErrExhausted) {
 			return RunResult{}, fmt.Errorf("core: sequence stage %s: %w", s.Name(), err)
 		}
@@ -57,28 +61,10 @@ func RunSequence(strategies []Strategy, scn *Scenario, seed uint64, maxEvals int
 			}
 		}
 	}
-
-	res := RunResult{
-		Strategy:    "Sequence(" + strings.Join(names, " → ") + ")",
-		TotalCost:   parent.Spent(),
-		Evaluations: ev.Evaluations(),
+	// Every stage meter reads the parent's spend, so the result's TotalCost
+	// is the whole sequence's.
+	if ev.Solution() != nil {
+		return resultOf(ev, winner), nil
 	}
-	if sol := ev.Solution(); sol != nil {
-		res.Strategy = winner
-		res.Satisfied = true
-		res.Features = sol.Features()
-		res.ValScores = sol.Val
-		res.TestScores = sol.Test
-		res.CostAtSolution = sol.SpentAt
-		return res, nil
-	}
-	if best := ev.Best(); best != nil {
-		res.BestValDistance = best.Distance
-		if testScores, err := ev.EvaluateOnTest(best); err == nil {
-			res.BestTestDistance = scn.Constraints.Distance(testScores)
-		}
-		res.ValScores = best.Val
-		res.TestScores = best.Test
-	}
-	return res, nil
+	return resultOf(ev, "Sequence("+strings.Join(names, " → ")+")"), nil
 }

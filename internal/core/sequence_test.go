@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/declarative-fs/dfs/internal/constraint"
@@ -55,7 +58,7 @@ func TestRunSequenceWarmStartSharesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	scn2 := mustScenario(t, easyConstraints(), model.KindLR, ModeMaximizeUtility)
-	single, err := RunStrategy(a, scn2, 7, 40)
+	single, err := RunStrategy(context.Background(), a, scn2, nil, nil, 7, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,5 +92,22 @@ func TestRunSequenceFailureReporting(t *testing.T) {
 	}
 	if res.Strategy == "" {
 		t.Fatal("failed sequence must name itself")
+	}
+}
+
+// TestRunSequenceIsolatesStagePanic pins per-stage panic isolation: a
+// panicking stage ends the sequence with an error wrapping the panicked
+// *StrategyError instead of crashing the process.
+func TestRunSequenceIsolatesStagePanic(t *testing.T) {
+	scn := mustScenario(t, easyConstraints(), model.KindLR, ModeSatisfy)
+	a := &scriptedStrategy{inner: mustStrategy(t, "TPE(Variance)"), failFirst: 1,
+		fault: func() error { return nil }}
+	_, err := RunSequence([]Strategy{a, mustStrategy(t, "SFFS(NR)")}, scn, 3, 200)
+	var se *StrategyError
+	if !errors.As(err, &se) || !se.Panicked() {
+		t.Fatalf("want an error wrapping a panicked *StrategyError, got %v", err)
+	}
+	if !strings.HasPrefix(err.Error(), "core: sequence stage TPE(Variance)") {
+		t.Fatalf("error does not name the failed stage: %v", err)
 	}
 }

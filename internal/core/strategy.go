@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -269,53 +270,100 @@ type RunResult struct {
 	BestValDistance, BestTestDistance float64
 }
 
-// RunStrategy executes one strategy on one scenario with a fresh simulated
-// budget meter. maxEvals, when positive, bounds real compute (see
-// NewEvaluator).
-func RunStrategy(s Strategy, scn *Scenario, seed uint64, maxEvals int) (RunResult, error) {
-	return RunStrategyWithMeter(s, scn, budget.NewSim(scn.Constraints.MaxSearchCost), seed, maxEvals)
+// RunStrategy executes one strategy on one scenario. It is the one runner
+// behind every strategy run — Select, portfolios, benchmark pools and the
+// paper's experiments — and each run gets the same fault-tolerance stack:
+// cancellation (every budget charge checks ctx, so the search stops within
+// one evaluation and the run returns ctx.Err(), not a partial result), panic
+// isolation (any non-budget failure, a recovered panic included, comes back
+// as a *StrategyError), and up to DefaultTransientRetries retries under
+// PerturbSeed-derived seeds when the failure is classified IsTransient.
+//
+// A nil meter gives every attempt a fresh simulated budget of
+// scn.Constraints.MaxSearchCost. A non-nil meter is the caller's — e.g. a
+// wall-clock meter, where the search time constraint is literal seconds —
+// and every attempt charges it, so a retry spends only what is left and the
+// result's costs read it. memo, when non-nil, shares trained subsets across
+// runs of the scenario; its key pins the seed, so a retried attempt never
+// reuses entries trained under the original seed. maxEvals, when positive,
+// bounds real compute (see NewEvaluator).
+//
+// Attempt 0 runs under seed itself, so a fault-free run is byte-identical
+// with or without a memo or an observability runtime in ctx. With a runtime
+// the run opens a strategy_run span under ctx's span and bumps the
+// strategy.* counters.
+func RunStrategy(ctx context.Context, s Strategy, scn *Scenario, meter budget.Meter, memo *SharedMemo, seed uint64, maxEvals int) (RunResult, error) {
+	rt := obs.FromContext(ctx)
+	if rt != nil {
+		span := rt.Tracer().StartSpan(obs.SpanFromContext(ctx), "strategy_run",
+			obs.Str("strategy", s.Name()),
+			obs.Int("seed", int64(seed)),
+			obs.Bool("shared_memo", memo != nil))
+		ctx = obs.ContextWithSpan(ctx, span)
+		rt.Metrics().Counter("strategy.runs").Inc()
+	}
+	var err error
+	for attempt := 0; attempt <= DefaultTransientRetries; attempt++ {
+		var res RunResult
+		res, err = runOnce(ctx, s, scn, meter, memo, PerturbSeed(seed, attempt), maxEvals)
+		if err == nil {
+			finishStrategyObs(rt, ctx, s.Name(), res, nil)
+			return res, nil
+		}
+		if !IsTransient(err) {
+			break
+		}
+		if rt != nil && attempt < DefaultTransientRetries {
+			rt.Metrics().Counter("strategy.retries").Inc()
+			rt.Tracer().Event(obs.SpanFromContext(ctx), "retry",
+				obs.Int("attempt", int64(attempt+1)),
+				obs.Str("error", err.Error()))
+		}
+	}
+	finishStrategyObs(rt, ctx, s.Name(), RunResult{}, err)
+	return RunResult{}, err
 }
 
-// RunStrategyWithMeter executes one strategy against a caller-provided
-// budget meter — e.g. a wall-clock meter for real deployments where the
-// search time constraint is literal seconds rather than simulated cost
-// units. The run is panic-isolated: any non-budget failure, including a
-// recovered panic, is returned as a *StrategyError instead of crashing the
-// process.
-func RunStrategyWithMeter(s Strategy, scn *Scenario, meter budget.Meter, seed uint64, maxEvals int) (RunResult, error) {
-	return runStrategyWithMeterMemo(s, scn, meter, seed, maxEvals, nil)
-}
-
-// runStrategyWithMeterMemo is RunStrategyWithMeter with an optional shared
-// trained-subset memo; the result is byte-identical with or without it.
-func runStrategyWithMeterMemo(s Strategy, scn *Scenario, meter budget.Meter, seed uint64, maxEvals int, memo *SharedMemo) (RunResult, error) {
-	return runStrategyWithMeterMemoObs(s, scn, meter, seed, maxEvals, memo, nil, 0)
-}
-
-// runStrategyWithMeterMemoObs additionally attaches an observability runtime
-// to the evaluator (nil rt keeps the bare path). Observation never changes
-// the run's behavior — only what is recorded about it.
-func runStrategyWithMeterMemoObs(s Strategy, scn *Scenario, meter budget.Meter, seed uint64, maxEvals int, memo *SharedMemo, rt *obs.Runtime, span obs.SpanID) (RunResult, error) {
-	ev, err := NewEvaluator(scn, meter, seed, maxEvals)
+// runOnce is one attempt of RunStrategy: an evaluator over the attempt's
+// meter (a fresh simulated budget when meter is nil), the shared memo, the
+// observability hooks, and the panic-isolated strategy run.
+func runOnce(ctx context.Context, s Strategy, scn *Scenario, meter budget.Meter, memo *SharedMemo, seed uint64, maxEvals int) (RunResult, error) {
+	if err := ctx.Err(); err != nil {
+		return RunResult{}, err
+	}
+	if meter == nil {
+		meter = budget.NewSim(scn.Constraints.MaxSearchCost)
+	}
+	ev, err := NewEvaluator(scn, budget.WithContext(ctx, meter), seed, maxEvals)
 	if err != nil {
 		return RunResult{}, err
 	}
 	if memo != nil {
 		ev.UseShared(memo)
 	}
-	ev.Observe(rt, span)
-	meter = ev.meter // Observe may wrap the meter; keep cost readouts consistent
-	if err := runProtected(s, ev, xrand.NewStream(seed, 0x57a7)); err != nil &&
-		!errors.Is(err, budget.ErrExhausted) {
+	ev.Observe(obs.FromContext(ctx), obs.SpanFromContext(ctx))
+	err = runProtected(s, ev, xrand.NewStream(seed, 0x57a7))
+	if cerr := ctx.Err(); cerr != nil {
+		return RunResult{}, cerr
+	}
+	if err != nil && !errors.Is(err, budget.ErrExhausted) {
 		var se *StrategyError
 		if errors.As(err, &se) {
 			return RunResult{}, err
 		}
 		return RunResult{}, &StrategyError{Strategy: s.Name(), Cause: err}
 	}
+	return resultOf(ev, s.Name()), nil
+}
+
+// resultOf assembles the result of the search ev ran, reported under name:
+// the confirmed solution if there is one, else the closest candidate's
+// distances for the failure analysis (Table 4). TotalCost reads ev's meter
+// before the best candidate's test confirmation, which may still charge.
+func resultOf(ev *Evaluator, name string) RunResult {
 	res := RunResult{
-		Strategy:    s.Name(),
-		TotalCost:   meter.Spent(),
+		Strategy:    name,
+		TotalCost:   ev.meter.Spent(),
 		Evaluations: ev.Evaluations(),
 	}
 	if sol := ev.Solution(); sol != nil {
@@ -324,13 +372,13 @@ func runStrategyWithMeterMemoObs(s Strategy, scn *Scenario, meter budget.Meter, 
 		res.ValScores = sol.Val
 		res.TestScores = sol.Test
 		res.CostAtSolution = sol.SpentAt
-		return res, nil
+		return res
 	}
+	cs := ev.scn.Constraints
 	if best := ev.Best(); best != nil {
 		res.BestValDistance = best.Distance
-		testScores, err := ev.EvaluateOnTest(best)
-		if err == nil {
-			res.BestTestDistance = scn.Constraints.Distance(testScores)
+		if testScores, err := ev.EvaluateOnTest(best); err == nil {
+			res.BestTestDistance = cs.Distance(testScores)
 		}
 		res.ValScores = best.Val
 		res.TestScores = best.Test
@@ -338,8 +386,8 @@ func runStrategyWithMeterMemoObs(s Strategy, scn *Scenario, meter budget.Meter, 
 		// Nothing was ever evaluated (e.g. the ranking alone blew the
 		// budget): report the maximal distance of the original feature set
 		// convention — distance to every active threshold from zero scores.
-		res.BestValDistance = scn.Constraints.Distance(constraint.Scores{FeatureFrac: 0})
+		res.BestValDistance = cs.Distance(constraint.Scores{FeatureFrac: 0})
 		res.BestTestDistance = res.BestValDistance
 	}
-	return res, nil
+	return res
 }

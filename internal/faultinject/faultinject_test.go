@@ -122,7 +122,7 @@ func TestMeterDelay(t *testing.T) {
 func TestScriptedPanicIsIsolatedByCore(t *testing.T) {
 	scn := testScenario(t)
 	s := &Strategy{Inner: mustStrategy(t, "SFS(NR)"), FailFirst: 1, Fault: Fault{Kind: Panic}}
-	_, err := core.RunStrategy(s, scn, 7, 20)
+	_, err := core.RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	var se *core.StrategyError
 	if !errors.As(err, &se) || !se.Panicked() {
 		t.Fatalf("scripted panic must surface as a panicked StrategyError, got %v", err)
@@ -132,7 +132,7 @@ func TestScriptedPanicIsIsolatedByCore(t *testing.T) {
 func TestScriptedTransientIsRetried(t *testing.T) {
 	scn := testScenario(t)
 	s := &Strategy{Inner: mustStrategy(t, "SFS(NR)"), FailFirst: 2, Fault: Fault{Kind: TransientError}}
-	res, err := core.RunStrategyContext(context.Background(), s, scn, 7, 20)
+	res, err := core.RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	if err != nil {
 		t.Fatalf("transient script within retry budget: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestNaNScoreNeverSatisfies(t *testing.T) {
 	// Poison every custom-metric call: no candidate may confirm as solution,
 	// and the run must finish without corrupting the search state.
 	scn.Custom = []core.CustomConstraint{NaNScore("poisoned", nil)}
-	res, err := core.RunStrategy(mustStrategy(t, "SFS(NR)"), scn, 7, 30)
+	res, err := core.RunStrategy(context.Background(), mustStrategy(t, "SFS(NR)"), scn, nil, nil, 7, 30)
 	if err != nil {
 		t.Fatalf("NaN scores must degrade, not fail: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestNaNScoreNeverSatisfies(t *testing.T) {
 	// recovers and satisfies on a later candidate.
 	scn2 := testScenario(t)
 	scn2.Custom = []core.CustomConstraint{NaNScore("flaky", map[int]bool{0: true})}
-	res2, err := core.RunStrategy(mustStrategy(t, "SFS(NR)"), scn2, 7, 30)
+	res2, err := core.RunStrategy(context.Background(), mustStrategy(t, "SFS(NR)"), scn2, nil, nil, 7, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() (core.RunResult, error) {
 		scn := testScenario(t)
 		s := &Strategy{Inner: mustStrategy(t, "SFS(NR)"), FailFirst: 1, Fault: Fault{Kind: TransientError}}
-		return core.RunStrategyContext(context.Background(), s, scn, 7, 20)
+		return core.RunStrategy(context.Background(), s, scn, nil, nil, 7, 20)
 	}
 	a, errA := run()
 	b, errB := run()

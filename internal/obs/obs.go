@@ -13,7 +13,7 @@
 //
 // Observability flows through context.Context: callers build a Runtime,
 // inject it with NewContext, and every context-aware entry point
-// (core.RunStrategySharedContext, bench.BuildPoolContext, dfs.SelectContext,
+// (core.RunStrategy, bench.BuildPoolResumed, dfs.SelectContext,
 // dfs.RunPortfolioContext) picks it up with FromContext. Span parentage
 // flows the same way via ContextWithSpan / SpanFromContext, so the trace of
 // a pool run reconstructs the full tree: pool → scenario → strategy run →

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"github.com/declarative-fs/dfs/internal/bench"
 	"github.com/declarative-fs/dfs/internal/core"
 )
 
@@ -86,17 +88,24 @@ func TestFanout(t *testing.T) {
 	})
 
 	t.Run("drained-worker-reassigned", func(t *testing.T) {
-		// A worker that shuts down gracefully mid-job: its shard ends
-		// drained (or its submissions answer 503), and either way the
-		// coordinator recomputes the shard on the survivor.
-		w1srv, w1 := newWorker(t)
+		// A worker that shuts down gracefully mid-job: its pool builds
+		// block until their context is canceled, so the drain always lands
+		// on a running shard, which ends drained and is recomputed on the
+		// survivor.
+		w1srv := newTestServer(t, Config{Workers: 1, PoolWorkers: 2,
+			BuildPool: func(ctx context.Context, _ bench.Config, _ bench.RunOptions) (*bench.Pool, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}})
+		w1 := httptest.NewServer(w1srv.Handler())
+		t.Cleanup(w1.Close)
 		_, w2 := newWorker(t)
-		_, coordURL := newCoordinator(t, w1, w2)
+		coord, coordURL := newCoordinator(t, w1.URL, w2)
 		code, st, _, _ := postJob(t, coordURL, spec)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit: code %d", code)
 		}
-		time.Sleep(150 * time.Millisecond) // let shards reach the workers
+		awaitRunningShard(t, w1srv, coord, st.ID)
 		if err := w1srv.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,5 +113,28 @@ func TestFanout(t *testing.T) {
 		if got := fetchCSV(t, coordURL, st.ID); !bytes.Equal(got, refCSV) {
 			t.Fatal("result after draining a worker differs from the reference")
 		}
+		if n := coord.rt.Metrics().Snapshot().Counter("serve.fanout.shards_requeued"); n < 1 {
+			t.Fatalf("shards_requeued = %d, want the drained shard requeued", n)
+		}
 	})
+}
+
+// awaitRunningShard polls worker until one of its jobs is running, failing
+// the test if the coordinator's job coordID finishes first (an interruption
+// would then land on nothing) or no shard starts within a minute.
+func awaitRunningShard(t *testing.T, worker, coord *Server, coordID string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		for _, j := range worker.Jobs() {
+			if j.Status().State == StateRunning {
+				return
+			}
+		}
+		if j, ok := coord.Job(coordID); ok && j.Status().State.terminal() {
+			t.Fatalf("coordinator job %s finished before the worker ran a shard", coordID)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("worker never reported a running shard")
 }
