@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -255,7 +256,10 @@ func WithoutEvaluationSharing() Option { return func(o *options) { o.noShare = t
 
 // WithKernelWorkers caps the data-parallel goroutines inside the numeric
 // kernels of the search (the LR gradient pass, ReliefF and MCFS rankings).
-// The default (0) uses all of GOMAXPROCS. Worker count only changes
+// The default (0) gives Select all of GOMAXPROCS and splits it among
+// RunPortfolio's concurrent members, max(1, GOMAXPROCS/members), the rule a
+// scenario pool applies to its slots, so members × kernel goroutines never
+// oversubscribe the machine. Worker count only changes
 // scheduling, never results: the kernels reduce over fixed chunks merged in
 // a fixed order, so the selection is bit-identical at every setting. Set
 // this when embedding DFS in a process that runs several searches at once
@@ -319,6 +323,16 @@ func (o options) meter() budget.Meter {
 		return budget.NewWall(o.wallClock)
 	}
 	return nil
+}
+
+// sharedBy returns the options for members strategies that run at once on
+// one scenario: an unset WithKernelWorkers becomes
+// max(1, GOMAXPROCS/members).
+func (o options) sharedBy(members int) options {
+	if o.kernelWorkers == 0 {
+		o.kernelWorkers = max(1, runtime.GOMAXPROCS(0)/members)
+	}
+	return o
 }
 
 func buildOptions(opts []Option) options {
@@ -450,7 +464,7 @@ func RunPortfolioContext(ctx context.Context, d *Dataset, kind ModelKind, cs Con
 	if len(strategies) == 0 {
 		strategies = []string{"TPE(FCBF)", "SFFS(NR)", "TPE(NR)", "TPE(MIM)", "SA(NR)"}
 	}
-	o := buildOptions(opts)
+	o := buildOptions(opts).sharedBy(len(strategies))
 	ctx, end := apiSpan(ctx, "portfolio",
 		obs.Int("members", int64(len(strategies))), obs.Str("model", string(kind)))
 	// One scenario serves every member: the split, constraints, and custom

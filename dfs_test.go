@@ -2,6 +2,8 @@ package dfs
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +137,46 @@ func TestRunPortfolioDefaultTop5(t *testing.T) {
 	}
 	if sel == nil {
 		t.Fatal("nil selection")
+	}
+}
+
+// TestPortfolioKernelWorkersComposition: RunPortfolio's members share one
+// machine, so an unset kernel-worker knob splits GOMAXPROCS among them the
+// way bench.Config splits it among pool slots, and the split never changes
+// the selection.
+func TestPortfolioKernelWorkersComposition(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
+	for _, members := range []int{1, 2, 5, 2 * gmp} {
+		kw := buildOptions(nil).sharedBy(members).kernelWorkers
+		if kw < 1 || members*kw > gmp && kw != 1 {
+			t.Fatalf("%d members: default composition unbounded: kernel workers %d, GOMAXPROCS %d", members, kw, gmp)
+		}
+	}
+	if kw := buildOptions(nil).sharedBy(1).kernelWorkers; kw != gmp {
+		t.Fatalf("one member should keep all of GOMAXPROCS, got %d", kw)
+	}
+	if kw := buildOptions(nil).sharedBy(2 * gmp).kernelWorkers; kw != 1 {
+		t.Fatalf("oversubscribed portfolio should pin kernels to 1 worker, got %d", kw)
+	}
+	if kw := buildOptions([]Option{WithKernelWorkers(7)}).sharedBy(5).kernelWorkers; kw != 7 {
+		t.Fatalf("explicit WithKernelWorkers overridden: got %d, want 7", kw)
+	}
+
+	d, err := GenerateBuiltin("COMPAS", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := Constraints{MinF1: 0.5, MaxSearchCost: 5000, MaxFeatureFrac: 1}
+	def, err := RunPortfolio(d, LR, cs, nil, WithSeed(3), WithMaxEvaluations(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := RunPortfolio(d, LR, cs, nil, WithSeed(3), WithMaxEvaluations(20), WithKernelWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, one) {
+		t.Fatalf("default selection differs from WithKernelWorkers(1):\n%+v\n%+v", def, one)
 	}
 }
 

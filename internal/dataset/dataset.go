@@ -15,6 +15,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/declarative-fs/dfs/internal/linalg"
 )
@@ -107,7 +108,15 @@ func (t *Table) Validate() error {
 		if c.Len() != n {
 			return fmt.Errorf("dataset %q: column %q length %d != %d", t.Name, c.Name, c.Len(), n)
 		}
-		if c.Kind == Categorical {
+		switch c.Kind {
+		case Numeric:
+			// NaN marks a missing cell; an infinite one has no min-max scaling.
+			for i, v := range c.Num {
+				if math.IsInf(v, 0) {
+					return fmt.Errorf("dataset %q: column %q value %v at row %d is infinite", t.Name, c.Name, v, i)
+				}
+			}
+		case Categorical:
 			if c.Cardinality < 1 {
 				return fmt.Errorf("dataset %q: column %q cardinality %d", t.Name, c.Name, c.Cardinality)
 			}
@@ -262,52 +271,50 @@ func (d *Dataset) ClassCounts() (zero, one int) {
 
 // Preprocess converts a raw table into a model-ready dataset applying the
 // paper's standard pipeline: mean imputation and min-max scaling for numeric
-// columns, one-hot encoding for categorical columns.
+// columns, one-hot encoding for categorical columns. Every column is written
+// straight into its features of the row-major matrix.
 func Preprocess(t *Table) (*Dataset, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	n := t.Rows()
+	n, f := t.Rows(), t.FeatureCount()
 	d := &Dataset{
-		Name:      t.Name,
-		Y:         append([]int(nil), t.Target...),
-		Sensitive: append([]int(nil), t.Sensitive...),
-		Nominal:   t.Nominal,
+		Name:         t.Name,
+		X:            linalg.NewMatrix(n, f),
+		Y:            append([]int(nil), t.Target...),
+		Sensitive:    append([]int(nil), t.Sensitive...),
+		FeatureNames: make([]string, 0, f),
+		Nominal:      t.Nominal,
 	}
-	cols := make([][]float64, 0, t.FeatureCount())
+	j := 0 // the column's first feature
 	for ci := range t.Columns {
 		c := &t.Columns[ci]
 		switch c.Kind {
 		case Numeric:
-			vals := imputeMean(c.Num)
-			minMaxScale(vals)
-			cols = append(cols, vals)
+			scaleInto(d.X, j, c.Num)
 			d.FeatureNames = append(d.FeatureNames, c.Name)
+			j++
 		case Categorical:
-			for cat := 0; cat < c.Cardinality; cat++ {
-				oh := make([]float64, n)
-				for i, v := range c.Cat {
-					if v == cat {
-						oh[i] = 1
-					}
+			// The matrix starts zeroed, so a missing code stays all-zero.
+			for i, v := range c.Cat {
+				if v != MissingCat {
+					d.X.Data[i*f+j+v] = 1
 				}
-				cols = append(cols, oh)
-				d.FeatureNames = append(d.FeatureNames, fmt.Sprintf("%s=%d", c.Name, cat))
 			}
-		}
-	}
-	d.X = linalg.NewMatrix(n, len(cols))
-	for j, col := range cols {
-		for i, v := range col {
-			d.X.Set(i, j, v)
+			for cat := 0; cat < c.Cardinality; cat++ {
+				d.FeatureNames = append(d.FeatureNames, c.Name+"="+strconv.Itoa(cat))
+			}
+			j += c.Cardinality
 		}
 	}
 	return d, nil
 }
 
-// imputeMean replaces NaN entries with the mean of the observed entries
-// (or 0 when all entries are missing) and returns a new slice.
-func imputeMean(vals []float64) []float64 {
+// scaleInto writes a numeric column into feature j of the zeroed matrix x:
+// missing (NaN) cells take the mean of the observed ones, summed in row
+// order (0 when none is observed), then every cell is min-max scaled to
+// [0, 1] as (v-lo)/(hi-lo); a constant column stays 0.
+func scaleInto(x *linalg.Matrix, j int, vals []float64) {
 	sum, cnt := 0.0, 0
 	for _, v := range vals {
 		if !math.IsNaN(v) {
@@ -319,24 +326,11 @@ func imputeMean(vals []float64) []float64 {
 	if cnt > 0 {
 		mean = sum / float64(cnt)
 	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		if math.IsNaN(v) {
-			out[i] = mean
-		} else {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-// minMaxScale scales vals to [0, 1] in place; constant columns become 0.
-func minMaxScale(vals []float64) {
-	if len(vals) == 0 {
-		return
-	}
-	lo, hi := vals[0], vals[0]
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range vals {
+		if math.IsNaN(v) {
+			v = mean
+		}
 		if v < lo {
 			lo = v
 		}
@@ -346,12 +340,12 @@ func minMaxScale(vals []float64) {
 	}
 	span := hi - lo
 	if span == 0 {
-		for i := range vals {
-			vals[i] = 0
-		}
 		return
 	}
-	for i := range vals {
-		vals[i] = (vals[i] - lo) / span
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			v = mean
+		}
+		x.Data[i*x.Cols+j] = (v - lo) / span
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -403,6 +404,41 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsInfinite: an "Inf" cell parses as a float, but an
+// infinite value has no min-max scaling, so the table is rejected at load
+// time, naming the column and row, instead of surfacing later as a
+// non-finite feature matrix.
+func TestReadCSVRejectsInfinite(t *testing.T) {
+	csv := "a:num,b:num,__target__,__sensitive__\n1,2,0,0\n3,Inf,1,1\n,4,0,1\n"
+	_, err := ReadCSV(bytes.NewBufferString(csv), "inf")
+	if err == nil {
+		t.Fatal("infinite cell accepted")
+	}
+	for _, want := range []string{`"inf"`, `"b"`, "row 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// TestPreprocessRejectsInfinite: Preprocess validates its table, so a
+// hand-built table with -Inf fails there; NaN stays the missing marker.
+func TestPreprocessRejectsInfinite(t *testing.T) {
+	tab := smallTable()
+	tab.Columns[0].Num[4] = math.Inf(-1)
+	_, err := Preprocess(tab)
+	if err == nil {
+		t.Fatal("-Inf cell accepted")
+	}
+	for _, want := range []string{`"toy"`, `"age"`, "row 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// TestPropertyMinMaxScaleRange: Preprocess scales any finite numeric column
+// into [0, 1].
 func TestPropertyMinMaxScaleRange(t *testing.T) {
 	f := func(raw [16]float64) bool {
 		vals := make([]float64, 0, len(raw))
@@ -414,8 +450,16 @@ func TestPropertyMinMaxScaleRange(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		minMaxScale(vals)
-		for _, v := range vals {
+		d, err := Preprocess(&Table{
+			Name:      "prop",
+			Columns:   []Column{{Name: "x", Kind: Numeric, Num: vals}},
+			Target:    make([]int, len(vals)),
+			Sensitive: make([]int, len(vals)),
+		})
+		if err != nil {
+			return false
+		}
+		for _, v := range d.X.Data {
 			if v < 0 || v > 1 {
 				return false
 			}

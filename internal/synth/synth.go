@@ -22,7 +22,6 @@ package synth
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/xrand"
@@ -172,8 +171,10 @@ func Generate(p *Profile, seed uint64) (*dataset.Table, error) {
 		scores[i] = s + 0.5*rng.Norm()
 	}
 	// Threshold at the (1 - PosRate) quantile to hit the target class rate.
+	// buf is where quantile and binQuantiles reorder their copies.
+	buf := make([]float64, n)
 	target := make([]int, n)
-	thr := quantile(scores, 1-p.PosRate)
+	thr := quantile(scores, 1-p.PosRate, buf)
 	for i, s := range scores {
 		if s > thr {
 			target[i] = 1
@@ -229,15 +230,15 @@ func Generate(p *Profile, seed uint64) (*dataset.Table, error) {
 	}
 	// Informative categorical attributes: quantile-binned noisy copies of
 	// informative columns, so that categorical signal exists (χ² regime).
+	noisy := make([]float64, n)
 	for j := 0; j < p.CatInformative; j++ {
 		src := inf[j%p.NumericInformative]
-		noisy := make([]float64, n)
 		for i := range noisy {
 			noisy[i] = src[i] + 0.3*rng.Norm()
 		}
 		tab.Columns = append(tab.Columns, dataset.Column{
 			Name: fmt.Sprintf("cat_inf_%02d", j), Kind: dataset.Categorical,
-			Cardinality: p.Cardinality, Cat: binQuantiles(noisy, p.Cardinality),
+			Cardinality: p.Cardinality, Cat: binQuantiles(noisy, p.Cardinality, buf),
 		})
 	}
 	// Noise categorical attributes.
@@ -293,38 +294,115 @@ func sensName(s string) string {
 	return s
 }
 
-// quantile returns the q-quantile (0..1) of vals without modifying them.
-func quantile(vals []float64, q float64) float64 {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0] - 1
+// quantile returns the q-quantile of vals without modifying them: for
+// 0 < q < 1 the value at rank int(q*len(vals)) of their sorted order, for
+// q <= 0 (q >= 1) one below (above) every value. It selects in a copy held
+// by buf (at least len(vals) long).
+func quantile(vals []float64, q float64, buf []float64) float64 {
+	a := buf[:len(vals)]
+	copy(a, vals)
+	switch {
+	case q <= 0:
+		selectRank(a, 0)
+		return a[0] - 1
+	case q >= 1:
+		selectRank(a, len(a)-1)
+		return a[len(a)-1] + 1
 	}
-	if q >= 1 {
-		return sorted[len(sorted)-1] + 1
-	}
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	k := min(int(q*float64(len(a))), len(a)-1)
+	selectRank(a, k)
+	return a[k]
 }
 
-// binQuantiles assigns each value its quantile bucket in [0, bins).
-func binQuantiles(vals []float64, bins int) []int {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	cuts := make([]float64, bins-1)
-	for b := 1; b < bins; b++ {
-		cuts[b-1] = sorted[len(sorted)*b/bins]
+// binQuantiles assigns each value its quantile bucket in [0, bins): the cut
+// between buckets b-1 and b is the value at sorted rank len(vals)*b/bins,
+// selected in a copy held by buf (at least len(vals) long).
+func binQuantiles(vals []float64, bins int, buf []float64) []int {
+	a := buf[:len(vals)]
+	copy(a, vals)
+	ranks := make([]int, bins-1)
+	for b := range ranks {
+		ranks[b] = len(a) * (b + 1) / bins
 	}
+	selectRanks(a, 0, ranks)
 	out := make([]int, len(vals))
 	for i, v := range vals {
 		// First cut strictly greater than v; values equal to a cut fall into
 		// the next bucket so quantile bins stay balanced.
-		out[i] = sort.Search(len(cuts), func(k int) bool { return cuts[k] > v })
+		b := 0
+		for b < len(ranks) && a[ranks[b]] <= v {
+			b++
+		}
+		out[i] = b
 	}
 	return out
+}
+
+// selectRanks reorders a, which holds sorted ranks [off, off+len(a)) of some
+// larger input, so that every rank in ranks (ascending, each in that range)
+// holds its sorted-order value: it selects the middle rank, then recurses
+// into the values on either side of it with the ranks that fall there.
+func selectRanks(a []float64, off int, ranks []int) {
+	if len(ranks) == 0 {
+		return
+	}
+	m := len(ranks) / 2
+	k := ranks[m] - off
+	selectRank(a, k)
+	left, right := ranks[:m], ranks[m+1:]
+	for len(left) > 0 && left[len(left)-1] == ranks[m] {
+		left = left[:len(left)-1]
+	}
+	for len(right) > 0 && right[0] == ranks[m] {
+		right = right[1:]
+	}
+	selectRanks(a[:k], off, left)
+	selectRanks(a[k+1:], off+k+1, right)
+}
+
+// selectRank reorders a so that a[k] holds the value sorting would put
+// there, with no greater value before it and no smaller one after it
+// (Hoare's quickselect with a median-of-three pivot). An order statistic is
+// one value whatever the pivots, so the result equals the sorted one's.
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] <= pivot <= a[i..hi], and every value strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // ensureBothClasses flips a few labels if one class is absent, so that

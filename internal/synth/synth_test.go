@@ -2,9 +2,11 @@ package synth
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/declarative-fs/dfs/internal/dataset"
+	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -315,7 +317,7 @@ func TestGenerateDataset(t *testing.T) {
 
 func TestQuantileBinning(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	bins := binQuantiles(vals, 4)
+	bins := binQuantiles(vals, 4, make([]float64, len(vals)))
 	counts := map[int]int{}
 	for _, b := range bins {
 		if b < 0 || b >= 4 {
@@ -326,6 +328,55 @@ func TestQuantileBinning(t *testing.T) {
 	for b := 0; b < 4; b++ {
 		if counts[b] != 2 {
 			t.Fatalf("unbalanced bins: %v", counts)
+		}
+	}
+}
+
+// TestSelectionMatchesSort checks the selection-based order statistics
+// against a full sort, on inputs with many ties and on more bins than
+// values (so cut ranks repeat).
+func TestSelectionMatchesSort(t *testing.T) {
+	rng := xrand.New(5)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		vals := make([]float64, n)
+		for i := range vals {
+			if trial%2 == 0 {
+				vals[i] = float64(rng.Intn(4)) // heavy ties
+			} else {
+				vals[i] = rng.Norm()
+			}
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		orig := append([]float64(nil), vals...)
+		buf := make([]float64, n)
+
+		for _, q := range []float64{0, 0.1, 0.5, 0.77, 0.999, 1} {
+			want := sorted[min(int(q*float64(n)), n-1)]
+			switch {
+			case q <= 0:
+				want = sorted[0] - 1
+			case q >= 1:
+				want = sorted[n-1] + 1
+			}
+			if got := quantile(vals, q, buf); got != want {
+				t.Fatalf("trial %d: quantile(%v) = %v, want %v (vals %v)", trial, q, got, want, orig)
+			}
+		}
+		for bins := 2; bins <= 7; bins++ {
+			got := binQuantiles(vals, bins, buf)
+			for i, v := range vals {
+				want := sort.Search(bins-1, func(k int) bool { return sorted[n*(k+1)/bins] > v })
+				if got[i] != want {
+					t.Fatalf("trial %d bins %d: value %v in bucket %d, want %d", trial, bins, v, got[i], want)
+				}
+			}
+		}
+		for i := range vals {
+			if vals[i] != orig[i] {
+				t.Fatalf("trial %d: input reordered", trial)
+			}
 		}
 	}
 }
