@@ -58,15 +58,13 @@ func main() {
 	shardFlag := flag.String("shard", "", "run only shard i/n of every pool (e.g. 0/2); combine with -checkpoint, then reassemble with -merge")
 	merge := flag.Bool("merge", false, "merge shard checkpoint files (positional arguments) into complete pools instead of running scenarios")
 	figuresJSON := flag.String("figures-json", "", "write figure data as machine-readable JSON (non-finite values become null) to this file")
-	kernelWorkers := flag.Int("kernel-workers", 0, "data-parallel goroutines inside numeric kernels per strategy run; 0 composes with the scheduler (GOMAXPROCS/workers). Never changes results")
 	evalStore := flag.String("eval-store", "", "directory of the durable content-addressed evaluation store shared across runs and shards; reruns replay stored trainings bit-identically")
 	flag.Parse()
 
 	cfg := bench.Config{
-		Scenarios:     *scenarios,
-		Seed:          *seed,
-		MaxEvals:      *maxEvals,
-		KernelWorkers: *kernelWorkers,
+		Scenarios: *scenarios,
+		Seed:      *seed,
+		MaxEvals:  *maxEvals,
 	}
 	if *datasets != "" {
 		for _, d := range strings.Split(*datasets, ",") {

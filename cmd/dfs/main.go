@@ -23,10 +23,11 @@
 //	utility          keep optimizing F1 after satisfaction (Eq. 2)
 //	seed             determinism seed                 (default 1)
 //	max_evaluations  cap on trained subsets           (default 0: unlimited)
-//	kernel_workers   goroutines inside numeric kernels (default 0: GOMAXPROCS;
-//	                 scheduling only — results are identical at any setting)
 //	eval_store       directory of the durable evaluation store; reruns of the
 //	                 same spec replay stored trainings bit-identically
+//
+// Keys not listed here are ignored, so a spec that still sets a field an
+// older build read parses and selects exactly as it would without it.
 package main
 
 import (
@@ -58,7 +59,6 @@ type spec struct {
 	Seed           uint64  `json:"seed"`
 	MaxEvaluations int     `json:"max_evaluations"`
 	DataSeed       uint64  `json:"data_seed"`
-	KernelWorkers  int     `json:"kernel_workers"`
 	EvalStore      string  `json:"eval_store"`
 }
 
@@ -193,9 +193,6 @@ func run(specPath, debugAddr, tracePath string) error {
 	}
 	if s.MaxEvaluations > 0 {
 		opts = append(opts, dfs.WithMaxEvaluations(s.MaxEvaluations))
-	}
-	if s.KernelWorkers > 0 {
-		opts = append(opts, dfs.WithKernelWorkers(s.KernelWorkers))
 	}
 	if s.EvalStore != "" {
 		opts = append(opts, dfs.WithEvalStore(s.EvalStore))

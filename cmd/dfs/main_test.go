@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,5 +99,41 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if err := run(bad, "", ""); err == nil {
 		t.Fatal("malformed spec accepted")
+	}
+}
+
+// runOutput runs the spec at path and returns what run prints.
+func runOutput(t *testing.T, path string) []byte {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "out.json")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(path, "", "")
+	os.Stdout = stdout
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRunIgnoresRetiredSpecKey: testdata/spec-retired-key.json is
+// testdata/spec.json plus a key older builds read. json.Unmarshal ignores it
+// like any unknown key, so both specs print the same selection.
+func TestRunIgnoresRetiredSpecKey(t *testing.T) {
+	want := runOutput(t, filepath.Join("testdata", "spec.json"))
+	got := runOutput(t, filepath.Join("testdata", "spec-retired-key.json"))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("spec with a retired key printed\n%s\nwant\n%s", got, want)
 	}
 }

@@ -43,7 +43,7 @@ func main() {
 	data := flag.String("data", "dfsd-data", "job directory (lifecycle files + checkpoints); reused across restarts to resume")
 	queueCap := flag.Int("queue", 16, "bounded job queue capacity; a full queue rejects with 429")
 	workers := flag.Int("workers", 2, "concurrent job executions")
-	poolWorkers := flag.Int("pool-workers", 0, "scenario/strategy parallelism inside each job (0 = GOMAXPROCS)")
+	poolWorkers := flag.Int("pool-workers", 0, "scenario/strategy parallelism inside each job (<= 0 means GOMAXPROCS)")
 	maxScenarios := flag.Int("max-scenarios", 1000, "admission cap on a job's scenario count")
 	deadline := flag.Duration("deadline", 0, "default per-job wall deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a SIGTERM drain may wait for in-flight jobs to checkpoint")

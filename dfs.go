@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -203,16 +202,15 @@ type StrategyReport struct {
 type StrategyError = core.StrategyError
 
 type options struct {
-	strategy      string
-	hpo           bool
-	utility       bool
-	seed          uint64
-	maxEvals      int
-	wallClock     time.Duration
-	custom        []core.CustomConstraint
-	noShare       bool
-	kernelWorkers int
-	evalStore     string
+	strategy  string
+	hpo       bool
+	utility   bool
+	seed      uint64
+	maxEvals  int
+	wallClock time.Duration
+	custom    []core.CustomConstraint
+	noShare   bool
+	evalStore string
 }
 
 // Option customizes Select and RunPortfolio.
@@ -253,18 +251,6 @@ func WithWallClock(d time.Duration) Option { return func(o *options) { o.wallClo
 // simulated cost — so this is an escape hatch for debugging and verification,
 // not a semantic knob.
 func WithoutEvaluationSharing() Option { return func(o *options) { o.noShare = true } }
-
-// WithKernelWorkers caps the data-parallel goroutines inside the numeric
-// kernels of the search (the LR gradient pass, ReliefF and MCFS rankings).
-// The default (0) gives Select all of GOMAXPROCS and splits it among
-// RunPortfolio's concurrent members, max(1, GOMAXPROCS/members), the rule a
-// scenario pool applies to its slots, so members × kernel goroutines never
-// oversubscribe the machine. Worker count only changes
-// scheduling, never results: the kernels reduce over fixed chunks merged in
-// a fixed order, so the selection is bit-identical at every setting. Set
-// this when embedding DFS in a process that runs several searches at once
-// and the combined goroutine count should stay bounded.
-func WithKernelWorkers(n int) Option { return func(o *options) { o.kernelWorkers = n } }
 
 // WithEvalStore shares trained-subset evaluations durably across process
 // lifetimes: every physical training is appended to a crash-safe,
@@ -323,16 +309,6 @@ func (o options) meter() budget.Meter {
 		return budget.NewWall(o.wallClock)
 	}
 	return nil
-}
-
-// sharedBy returns the options for members strategies that run at once on
-// one scenario: an unset WithKernelWorkers becomes
-// max(1, GOMAXPROCS/members).
-func (o options) sharedBy(members int) options {
-	if o.kernelWorkers == 0 {
-		o.kernelWorkers = max(1, runtime.GOMAXPROCS(0)/members)
-	}
-	return o
 }
 
 func buildOptions(opts []Option) options {
@@ -464,7 +440,7 @@ func RunPortfolioContext(ctx context.Context, d *Dataset, kind ModelKind, cs Con
 	if len(strategies) == 0 {
 		strategies = []string{"TPE(FCBF)", "SFFS(NR)", "TPE(NR)", "TPE(MIM)", "SA(NR)"}
 	}
-	o := buildOptions(opts).sharedBy(len(strategies))
+	o := buildOptions(opts)
 	ctx, end := apiSpan(ctx, "portfolio",
 		obs.Int("members", int64(len(strategies))), obs.Str("model", string(kind)))
 	// One scenario serves every member: the split, constraints, and custom
@@ -578,7 +554,6 @@ func newScenario(d *Dataset, kind ModelKind, cs Constraints, o options) (*core.S
 		return nil, err
 	}
 	scn.Custom = o.custom
-	scn.KernelWorkers = o.kernelWorkers
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,11 +2,12 @@ package dfs
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/declarative-fs/dfs/internal/race"
 )
 
 func TestStrategiesList(t *testing.T) {
@@ -140,43 +141,43 @@ func TestRunPortfolioDefaultTop5(t *testing.T) {
 	}
 }
 
-// TestPortfolioKernelWorkersComposition: RunPortfolio's members share one
-// machine, so an unset kernel-worker knob splits GOMAXPROCS among them the
-// way bench.Config splits it among pool slots, and the split never changes
-// the selection.
-func TestPortfolioKernelWorkersComposition(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	for _, members := range []int{1, 2, 5, 2 * gmp} {
-		kw := buildOptions(nil).sharedBy(members).kernelWorkers
-		if kw < 1 || members*kw > gmp && kw != 1 {
-			t.Fatalf("%d members: default composition unbounded: kernel workers %d, GOMAXPROCS %d", members, kw, gmp)
-		}
+// TestSelectAllocsIndependentOfGOMAXPROCS pins that no kernel fans out
+// goroutines: one Select makes as many allocations per op at GOMAXPROCS 4 as
+// at 1. testing.AllocsPerRun cannot check this, since it sets GOMAXPROCS
+// to 1.
+func TestSelectAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
 	}
-	if kw := buildOptions(nil).sharedBy(1).kernelWorkers; kw != gmp {
-		t.Fatalf("one member should keep all of GOMAXPROCS, got %d", kw)
-	}
-	if kw := buildOptions(nil).sharedBy(2 * gmp).kernelWorkers; kw != 1 {
-		t.Fatalf("oversubscribed portfolio should pin kernels to 1 worker, got %d", kw)
-	}
-	if kw := buildOptions([]Option{WithKernelWorkers(7)}).sharedBy(5).kernelWorkers; kw != 7 {
-		t.Fatalf("explicit WithKernelWorkers overridden: got %d, want 7", kw)
-	}
-
 	d, err := GenerateBuiltin("COMPAS", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := Constraints{MinF1: 0.5, MaxSearchCost: 5000, MaxFeatureFrac: 1}
-	def, err := RunPortfolio(d, LR, cs, nil, WithSeed(3), WithMaxEvaluations(20))
-	if err != nil {
+	cs := Constraints{MinF1: 0.6, MaxSearchCost: 500, MaxFeatureFrac: 1}
+	sel := func() error {
+		_, err := Select(d, LR, cs, WithSeed(3), WithMaxEvaluations(30))
+		return err
+	}
+	if err := sel(); err != nil { // let lazily built state settle
 		t.Fatal(err)
 	}
-	one, err := RunPortfolio(d, LR, cs, nil, WithSeed(3), WithMaxEvaluations(20), WithKernelWorkers(1))
-	if err != nil {
-		t.Fatal(err)
+	allocsAt := func(procs int) int64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sel(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if r.N == 0 {
+			t.Fatalf("Select failed at GOMAXPROCS %d", procs)
+		}
+		return r.AllocsPerOp()
 	}
-	if !reflect.DeepEqual(def, one) {
-		t.Fatalf("default selection differs from WithKernelWorkers(1):\n%+v\n%+v", def, one)
+	if one, four := allocsAt(1), allocsAt(4); one != four {
+		t.Fatalf("Select makes %d allocs/op at GOMAXPROCS 1 but %d at 4", one, four)
 	}
 }
 

@@ -69,10 +69,9 @@ func DecodeCheckpointHeader(line []byte) (Config, error) {
 
 // identityMismatch explains the first semantic difference between the
 // config a checkpoint was written under and the config trying to use it.
-// Workers, KernelWorkers, Label, and NoEvalSharing are excluded: they
-// change scheduling and physical work sharing, never the records
-// (TestPoolSharingDeterminism and TestPoolKernelWorkerDeterminism pin
-// that), so a resume may legally change them.
+// Workers, Label, and NoEvalSharing are excluded: they change scheduling
+// and physical work sharing, never the records (TestPoolSharingDeterminism
+// pins that), so a resume may legally change them.
 func identityMismatch(have, want Config, compareShard bool) error {
 	have, want = have.withDefaults(), want.withDefaults()
 	switch {

@@ -55,3 +55,22 @@ func TestPoolSharingDeterminism(t *testing.T) {
 		t.Log("note: no privacy/safety scenario sampled; randomized paths untested by this seed")
 	}
 }
+
+// TestPoolNegativeWorkers: Workers <= 0 means GOMAXPROCS, so a negative
+// count (dfsd -pool-workers -1) builds the default's records instead of
+// panicking on a negative semaphore size.
+func TestPoolNegativeWorkers(t *testing.T) {
+	cfg := Config{Scenarios: 2, Seed: 5, MaxEvals: 10, Datasets: []string{"COMPAS"}}
+	want, err := BuildPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = -1
+	got, err := BuildPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatal("Workers -1 built different records from Workers 0")
+	}
+}

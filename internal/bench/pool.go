@@ -39,18 +39,10 @@ type Config struct {
 	Datasets []string
 	// Sampler bounds the constraint fuzzer (default: the paper's window).
 	Sampler constraint.SamplerConfig
-	// Workers is the parallelism; 0 means GOMAXPROCS. It governs both
+	// Workers is the parallelism; <= 0 means GOMAXPROCS. It governs both
 	// scheduling levels: at most Workers scenarios are in flight, and at most
 	// Workers strategy runs execute concurrently across all of them.
 	Workers int
-	// KernelWorkers caps the data-parallel goroutines inside the numeric
-	// kernels (LR gradient pass, ReliefF, MCFS) of each strategy run. 0
-	// composes with the scheduler: max(1, GOMAXPROCS/Workers), so strategy
-	// slots times kernel goroutines stays bounded by the machine. Like
-	// Workers it only changes scheduling, never records — the kernels use
-	// fixed-chunk ordered reductions, so pool output is bit-identical for
-	// every setting (see TestPoolKernelWorkerDeterminism).
-	KernelWorkers int
 	// NoEvalSharing disables the per-scenario trained-subset memo, forcing
 	// fully private evaluation caches (the pre-sharing behavior). Records are
 	// identical either way — sharing only skips redundant physical training —
@@ -155,14 +147,8 @@ func (c Config) withDefaults() Config {
 	if c.Sampler == (constraint.SamplerConfig{}) {
 		c.Sampler = constraint.DefaultSamplerConfig()
 	}
-	if c.Workers == 0 {
+	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.KernelWorkers == 0 {
-		c.KernelWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.KernelWorkers < 1 {
-			c.KernelWorkers = 1
-		}
 	}
 	return c
 }
@@ -475,7 +461,6 @@ func runScenario(ctx context.Context, cfg Config, cache *datasetCache, i int, sl
 		rec.Err = fmt.Sprintf("scenario on %s: %v", name, err)
 		return rec, nil
 	}
-	scn.KernelWorkers = cfg.KernelWorkers
 
 	// Store-aware scheduling: a warm durable store may hold this exact
 	// scenario's completed record (same content hash, pool seed, scenario ID,

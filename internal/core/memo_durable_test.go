@@ -8,7 +8,7 @@ import (
 	"github.com/declarative-fs/dfs/internal/constraint"
 	"github.com/declarative-fs/dfs/internal/evalstore"
 	"github.com/declarative-fs/dfs/internal/model"
-	"github.com/declarative-fs/dfs/internal/parallel"
+	"github.com/declarative-fs/dfs/internal/race"
 )
 
 // TestSharedMemoDurableReplayBitIdentical is the durable-tier contract: a
@@ -151,7 +151,7 @@ func TestSharedMemoDurableScenarioIsolation(t *testing.T) {
 // bounded handful of allocations (entry, map slot), nothing proportional to
 // the result payload.
 func TestDurableDiskHitAllocCeiling(t *testing.T) {
-	if parallel.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
 	store, err := evalstore.Open(t.TempDir(), evalstore.Options{})

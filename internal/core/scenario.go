@@ -12,7 +12,6 @@ import (
 	"github.com/declarative-fs/dfs/internal/constraint"
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/model"
-	"github.com/declarative-fs/dfs/internal/parallel"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -47,12 +46,6 @@ type Scenario struct {
 	// Custom holds user-defined minimum-threshold constraints evaluated
 	// alongside the built-in ones (see CustomConstraint).
 	Custom []CustomConstraint
-	// KernelWorkers caps the data-parallel goroutines inside the numeric
-	// kernels (LR gradient pass, ReliefF, MCFS) of every strategy run on
-	// this scenario; <= 0 means GOMAXPROCS. It is a scheduling knob only:
-	// the kernels use fixed-chunk ordered reductions, so results are
-	// bit-identical for every setting.
-	KernelWorkers int
 }
 
 // Validate checks the scenario invariants.
@@ -93,24 +86,12 @@ func NewScenario(d *dataset.Dataset, kind model.Kind, cs constraint.Set, hpo boo
 	return scn, nil
 }
 
-// specs returns the hyperparameter specs evaluated per subset, each carrying
-// the scenario's kernel worker bound (a scheduling hint, not a
-// hyperparameter — see model.Spec.Workers).
+// specs returns the hyperparameter specs evaluated per subset.
 func (s *Scenario) specs() []model.Spec {
-	kw := s.kernelWorkers()
 	if s.HPO {
-		grid := model.DefaultGrid(s.ModelKind)
-		for i := range grid {
-			grid[i].Workers = kw
-		}
-		return grid
+		return model.DefaultGrid(s.ModelKind)
 	}
-	return []model.Spec{{Kind: s.ModelKind, Workers: kw}}
-}
-
-// kernelWorkers resolves the KernelWorkers knob: <= 0 means GOMAXPROCS.
-func (s *Scenario) kernelWorkers() int {
-	return parallel.Workers(s.KernelWorkers)
+	return []model.Spec{{Kind: s.ModelKind}}
 }
 
 // kindFactor returns the training cost factor for the scenario's model.

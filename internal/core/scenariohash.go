@@ -67,8 +67,7 @@ func (h *contentHasher) part(d *dataset.Dataset) {
 // content address: equal keys imply equal training inputs and equal random
 // draws, so the stored result is exact.
 //
-// Deliberately excluded: KernelWorkers (scheduling only — results are
-// identical at any setting), feature/dataset names (labels, not content),
+// Deliberately excluded: feature/dataset names (labels, not content),
 // and custom Metric function bodies, which cannot be hashed — a custom
 // constraint is identified by (Name, Min), so two runs sharing a store must
 // not bind different metrics to the same custom-constraint name.

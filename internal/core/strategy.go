@@ -163,15 +163,8 @@ func (s topK) Run(ev *Evaluator, rng *xrand.RNG) error {
 	rankRNG := rng.Split()
 	scores, _, hit := ev.sharedRanking(nil, string(s.ranker.Family()))
 	if !hit {
-		ranker := s.ranker
-		if wt, ok := ranker.(ranking.WorkerTunable); ok {
-			// Thread the scenario's kernel worker bound into data-parallel
-			// rankers; WithWorkers copies, so the shared strategy value is
-			// untouched and scores stay bit-identical at any setting.
-			ranker = wt.WithWorkers(ev.Scenario().kernelWorkers())
-		}
 		var err error
-		scores, err = ranker.Rank(ev.Scenario().Split.Train, rankRNG)
+		scores, err = s.ranker.Rank(ev.Scenario().Split.Train, rankRNG)
 		if err != nil {
 			return err
 		}
@@ -208,7 +201,7 @@ func (rfeStrategy) Run(ev *Evaluator, rng *xrand.RNG) error {
 	ev.SetPruning(false)
 	defer ev.SetPruning(true)
 	scn := ev.Scenario()
-	imp := &ranking.ModelImportance{Spec: model.Spec{Kind: scn.ModelKind, Workers: scn.kernelWorkers()}}
+	imp := &ranking.ModelImportance{Spec: model.Spec{Kind: scn.ModelKind}}
 	full := ev.NumFeatures()
 	rank := func(mask []bool) ([]float64, error) {
 		sel := selected(mask)

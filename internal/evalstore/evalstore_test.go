@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"github.com/declarative-fs/dfs/internal/constraint"
-	"github.com/declarative-fs/dfs/internal/parallel"
+	"github.com/declarative-fs/dfs/internal/race"
 )
 
 // testKey builds a key with a raw (non-UTF-8) mask so every test exercises
@@ -394,7 +394,7 @@ func TestStoreConcurrentStores(t *testing.T) {
 // TestStoreLookupAllocFree pins the disk-tier hot path: a warm Lookup must
 // not allocate (the key is passed by value, the result returned by value).
 func TestStoreLookupAllocFree(t *testing.T) {
-	if parallel.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
 	s := openT(t, t.TempDir(), Options{})

@@ -282,45 +282,6 @@ func TestKNNKLargerThanRows(t *testing.T) {
 	}
 }
 
-func TestKMeansSeparatesClusters(t *testing.T) {
-	rng := xrand.New(77)
-	rows := make([][]float64, 0, 60)
-	for i := 0; i < 30; i++ {
-		rows = append(rows, []float64{rng.Normal(0, 0.1), rng.Normal(0, 0.1)})
-	}
-	for i := 0; i < 30; i++ {
-		rows = append(rows, []float64{rng.Normal(5, 0.1), rng.Normal(5, 0.1)})
-	}
-	x := FromRows(rows)
-	assign, cents := KMeans(x, 2, 50, xrand.New(1))
-	if cents.Rows != 2 {
-		t.Fatalf("centroid count %d", cents.Rows)
-	}
-	// All points of one blob must share a label distinct from the other blob.
-	first := assign[0]
-	for i := 1; i < 30; i++ {
-		if assign[i] != first {
-			t.Fatal("first blob split across clusters")
-		}
-	}
-	for i := 31; i < 60; i++ {
-		if assign[i] != assign[30] {
-			t.Fatal("second blob split across clusters")
-		}
-	}
-	if first == assign[30] {
-		t.Fatal("blobs merged into one cluster")
-	}
-}
-
-func TestKMeansDegenerate(t *testing.T) {
-	x := FromRows([][]float64{{1, 2}})
-	assign, cents := KMeans(x, 5, 10, xrand.New(3))
-	if len(assign) != 1 || cents.Rows != 1 {
-		t.Fatal("k > n not clamped")
-	}
-}
-
 func TestPropertyDotSymmetry(t *testing.T) {
 	f := func(a, b [8]float64) bool {
 		x, y := Dot(a[:], b[:]), Dot(b[:], a[:])

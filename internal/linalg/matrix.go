@@ -138,13 +138,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	s := 0.0

@@ -1,10 +1,5 @@
 package linalg
 
-import (
-	"github.com/declarative-fs/dfs/internal/parallel"
-	"github.com/declarative-fs/dfs/internal/xrand"
-)
-
 // Metric selects the distance function used by nearest-neighbour search.
 type Metric int
 
@@ -248,103 +243,4 @@ func KNN(x *Matrix, query []float64, k int, m Metric, exclude map[int]bool) []in
 	}
 	out[0] = hidx[0]
 	return out
-}
-
-// KMeans clusters the rows of x into k clusters with Lloyd's algorithm and
-// k-means++ seeding, returning the cluster assignment per row and the
-// centroids. It runs at most maxIter iterations. Equivalent to
-// KMeansWorkers with a single worker.
-func KMeans(x *Matrix, k, maxIter int, rng *xrand.RNG) (assign []int, centroids *Matrix) {
-	return KMeansWorkers(x, k, maxIter, rng, 1)
-}
-
-// KMeansWorkers is KMeans with data-parallel assignment and chunked centroid
-// accumulation over at most workers goroutines (<= 0 means GOMAXPROCS). All
-// RNG draws (seeding, empty-cluster reseeds) happen on the calling goroutine
-// and per-chunk partial sums merge in fixed chunk order, so the result is
-// bit-identical for every worker count.
-func KMeansWorkers(x *Matrix, k, maxIter int, rng *xrand.RNG, workers int) (assign []int, centroids *Matrix) {
-	n := x.Rows
-	if k <= 0 || n == 0 {
-		return make([]int, n), NewMatrix(0, x.Cols)
-	}
-	if k > n {
-		k = n
-	}
-	centroids = NewMatrix(k, x.Cols)
-
-	// k-means++ seeding. The picks are serial RNG draws; the min-distance
-	// refresh after each pick is element-wise and safe to chunk.
-	first := rng.Intn(n)
-	copy(centroids.Row(0), x.Row(first))
-	minDist := make([]float64, n)
-	parallel.Run(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			minDist[i] = SqDist(x.Row(i), centroids.Row(0))
-		}
-	})
-	for c := 1; c < k; c++ {
-		pick := rng.Choice(minDist)
-		copy(centroids.Row(c), x.Row(pick))
-		parallel.Run(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if d := SqDist(x.Row(i), centroids.Row(c)); d < minDist[i] {
-					minDist[i] = d
-				}
-			}
-		})
-	}
-
-	assign = make([]int, n)
-	// Per-chunk partials: k*(cols+1) values per chunk — the centroid sums
-	// plus the member count (exact in float64) for each cluster.
-	stride := k * (x.Cols + 1)
-	acc := make([]float64, stride)
-	var scratch []float64
-	chunkChanged := make([]bool, parallel.NumChunks(n))
-	for iter := 0; iter < maxIter; iter++ {
-		parallel.Run(workers, n, func(chunk, lo, hi int) {
-			changed := false
-			for i := lo; i < hi; i++ {
-				best, bestD := 0, SqDist(x.Row(i), centroids.Row(0))
-				for c := 1; c < k; c++ {
-					if d := SqDist(x.Row(i), centroids.Row(c)); d < bestD {
-						best, bestD = c, d
-					}
-				}
-				if assign[i] != best {
-					assign[i] = best
-					changed = true
-				}
-			}
-			chunkChanged[chunk] = changed
-		})
-		changed := false
-		for _, c := range chunkChanged {
-			changed = changed || c
-		}
-		if !changed && iter > 0 {
-			break
-		}
-		// Recompute centroids via deterministic chunked reduction.
-		parallel.ReduceVec(workers, n, stride, acc, &scratch, func(_, lo, hi int, partial []float64) {
-			for i := lo; i < hi; i++ {
-				c := assign[i]
-				Axpy(1, x.Row(i), partial[c*(x.Cols+1):c*(x.Cols+1)+x.Cols])
-				partial[c*(x.Cols+1)+x.Cols]++
-			}
-		})
-		for c := 0; c < k; c++ {
-			sum := acc[c*(x.Cols+1) : c*(x.Cols+1)+x.Cols]
-			count := acc[c*(x.Cols+1)+x.Cols]
-			if count > 0 {
-				copy(centroids.Row(c), sum)
-				Scale(1/count, centroids.Row(c))
-			} else {
-				// Re-seed an empty cluster at a random point.
-				copy(centroids.Row(c), x.Row(rng.Intn(n)))
-			}
-		}
-	}
-	return assign, centroids
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/declarative-fs/dfs/internal/parallel"
+	"github.com/declarative-fs/dfs/internal/race"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -123,7 +123,7 @@ func TestKNNWithinMatchesReferenceFuzzed(t *testing.T) {
 }
 
 func TestKNNSelfSteadyStateAllocFree(t *testing.T) {
-	if parallel.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	rng := xrand.New(5)
@@ -137,29 +137,6 @@ func TestKNNSelfSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("KNNSelf steady state allocates %.1f objects per query, want 0", allocs)
-	}
-}
-
-// TestKMeansBitIdenticalAcrossWorkers pins the deterministic-reduction
-// contract: assignments and centroids must match bit for bit at any worker
-// count, because chunk geometry and merge order depend only on the row count.
-func TestKMeansBitIdenticalAcrossWorkers(t *testing.T) {
-	rng := xrand.New(11)
-	x := fuzzMatrix(rng, 500, 6, false)
-	run := func(workers int) ([]int, *Matrix) {
-		return KMeansWorkers(x, 5, 30, xrand.New(99), workers)
-	}
-	wantA, wantC := run(1)
-	for _, workers := range []int{2, 3, 8, 0} {
-		gotA, gotC := run(workers)
-		if !reflect.DeepEqual(gotA, wantA) {
-			t.Fatalf("workers=%d: assignments differ", workers)
-		}
-		for i := range wantC.Data {
-			if math.Float64bits(gotC.Data[i]) != math.Float64bits(wantC.Data[i]) {
-				t.Fatalf("workers=%d: centroid value %d differs: %v vs %v", workers, i, gotC.Data[i], wantC.Data[i])
-			}
-		}
 	}
 }
 
@@ -182,13 +159,4 @@ func BenchmarkKNN(b *testing.B) {
 			referenceKNN(x, q, 11, Euclidean, excl)
 		}
 	})
-}
-
-func BenchmarkKMeans(b *testing.B) {
-	rng := xrand.New(3)
-	x := fuzzMatrix(rng, 800, 8, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		KMeans(x, 6, 20, xrand.New(7))
-	}
 }

@@ -5,14 +5,12 @@ import (
 	"math"
 
 	"github.com/declarative-fs/dfs/internal/dataset"
-	"github.com/declarative-fs/dfs/internal/parallel"
 )
 
 // LogReg is l2-regularized binary logistic regression trained by full-batch
 // gradient descent. Training is deterministic: no random initialization is
 // needed because the regularized logistic loss is strictly convex, and the
-// gradient is a fixed-chunk ordered reduction, so the fitted coefficients
-// are bit-identical for every Workers setting.
+// gradient is summed in a fixed order (see Fit).
 type LogReg struct {
 	// C is the inverse regularization strength (sklearn convention).
 	C float64
@@ -21,9 +19,6 @@ type LogReg struct {
 	// LearningRate is the (constant) step size; features are expected in
 	// [0, 1] so the default is stable.
 	LearningRate float64
-	// Workers bounds the goroutines of the per-epoch gradient pass;
-	// <= 1 trains single-threaded. It never changes the fitted model.
-	Workers int
 
 	w        []float64 // weights, one per feature
 	b        float64   // intercept
@@ -43,7 +38,7 @@ func (m *LogReg) Name() string { return string(KindLR) }
 
 // Clone implements Classifier.
 func (m *LogReg) Clone() Classifier {
-	return &LogReg{C: m.C, Epochs: m.Epochs, LearningRate: m.LearningRate, Workers: m.Workers}
+	return &LogReg{C: m.C, Epochs: m.Epochs, LearningRate: m.LearningRate}
 }
 
 // Fit implements Classifier.
@@ -65,55 +60,47 @@ func (m *LogReg) Fit(d *dataset.Dataset) error {
 	if m.C > 0 {
 		lambda = 1 / (m.C * float64(n))
 	}
-	// Per-epoch gradient as a deterministic chunked reduction: chunk
-	// boundaries depend only on n, each chunk accumulates a private partial
-	// (slot p holds the intercept gradient), and partials merge sequentially
-	// in chunk order — bit-identical coefficients for any worker count.
-	nc := parallel.NumChunks(n)
+	// The per-epoch gradient is summed per chunk in row order, and the chunk
+	// sums are added in chunk order (slot p holds the intercept gradient).
+	// That order fixes every bit of the coefficients, and with them every
+	// stored LR evaluation, so the chunk geometry must not change
+	// (TestLogRegGoldenDigest).
+	nc := numChunks(n)
 	stride := p + 1
-	partials := make([]float64, nc*stride)
+	part := make([]float64, stride)
 	grad := make([]float64, stride)
 	w := m.w
-	// One closure for all epochs (it would otherwise allocate per epoch);
-	// b is re-snapshotted before each Run, which always returns before the
-	// next epoch reads or writes it.
-	b := m.b
-	pass := func(c, lo, hi int) {
-		part := partials[c*stride : (c+1)*stride]
-		// Fused row pass: score and gradient contribution in one
-		// traversal of the cache-hot row. The first row of the chunk
-		// assigns instead of accumulating, which folds the per-epoch
-		// gradient zeroing into the pass itself.
-		for i := lo; i < hi; i++ {
-			row := d.X.Row(i)
-			s := b
-			for j, v := range row {
-				s += w[j] * v
-			}
-			err := sigmoid(s) - float64(d.Y[i])
-			if i == lo {
+	for epoch := 0; epoch < m.Epochs; epoch++ {
+		b := m.b
+		for c := 0; c < nc; c++ {
+			lo, hi := chunkBounds(n, c)
+			// Fused row pass: score and gradient contribution in one
+			// traversal of the cache-hot row. The first row of the chunk
+			// assigns instead of accumulating, which folds the per-chunk
+			// zeroing into the pass itself.
+			for i := lo; i < hi; i++ {
+				row := d.X.Row(i)
+				s := b
 				for j, v := range row {
-					part[j] = err * v
+					s += w[j] * v
 				}
-				part[p] = err
+				err := sigmoid(s) - float64(d.Y[i])
+				if i == lo {
+					for j, v := range row {
+						part[j] = err * v
+					}
+					part[p] = err
+					continue
+				}
+				for j, v := range row {
+					part[j] += err * v
+				}
+				part[p] += err
+			}
+			if c == 0 {
+				copy(grad, part)
 				continue
 			}
-			for j, v := range row {
-				part[j] += err * v
-			}
-			part[p] += err
-		}
-	}
-	workers := m.Workers
-	if workers < 1 {
-		workers = 1 // zero-value models train serially; the evaluator passes an explicit bound
-	}
-	for epoch := 0; epoch < m.Epochs; epoch++ {
-		b = m.b
-		parallel.Run(workers, n, pass)
-		copy(grad, partials[:stride])
-		for c := 1; c < nc; c++ {
-			part := partials[c*stride : (c+1)*stride]
 			for j, v := range part {
 				grad[j] += v
 			}
@@ -180,6 +167,29 @@ func (m *LogReg) SetCoefficients(w []float64, b float64) {
 	m.b = b
 	m.fitted = true
 	m.isConst = false
+}
+
+const (
+	// minChunkLen is the fewest rows a gradient chunk holds.
+	minChunkLen = 64
+	// maxChunks caps the number of gradient chunks regardless of row count.
+	maxChunks = 32
+)
+
+// numChunks returns the number of gradient chunks of an n-row training set.
+func numChunks(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return min((n+minChunkLen-1)/minChunkLen, maxChunks)
+}
+
+// chunkBounds returns the half-open row range [lo, hi) of chunk c of an
+// n-row training set. Chunks partition [0, n) contiguously and every chunk
+// is non-empty for n > 0.
+func chunkBounds(n, c int) (lo, hi int) {
+	nc := numChunks(n)
+	return c * n / nc, (c + 1) * n / nc
 }
 
 func sigmoid(z float64) float64 {

@@ -6,7 +6,7 @@ import (
 
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/linalg"
-	"github.com/declarative-fs/dfs/internal/parallel"
+	"github.com/declarative-fs/dfs/internal/race"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -84,12 +84,11 @@ func TestLogRegFitMatchesReferenceFuzzed(t *testing.T) {
 		ref := NewLogReg(c)
 		referenceLogRegFit(ref, d)
 		got := NewLogReg(c)
-		got.Workers = trial % 3
 		if err := got.Fit(d); err != nil {
 			t.Fatal(err)
 		}
 
-		exact := parallel.NumChunks(rows) == 1
+		exact := numChunks(rows) == 1
 		for j := range ref.w {
 			diff := math.Abs(got.w[j] - ref.w[j])
 			if exact && diff != 0 {
@@ -107,48 +106,43 @@ func TestLogRegFitMatchesReferenceFuzzed(t *testing.T) {
 	}
 }
 
-// TestLogRegFitBitIdenticalAcrossWorkers pins the worker-knob contract: the
-// chunk geometry and merge order depend only on the row count, so training
-// is bit-identical at every worker count.
-func TestLogRegFitBitIdenticalAcrossWorkers(t *testing.T) {
-	d := fuzzBinary(xrand.New(59), 700, 9) // well above one chunk
-
-	want := NewLogReg(1)
-	want.Workers = 1
-	if err := want.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 0} {
-		got := NewLogReg(1)
-		got.Workers = workers
-		if err := got.Fit(d); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.w {
-			if math.Float64bits(got.w[j]) != math.Float64bits(want.w[j]) {
-				t.Fatalf("workers=%d w[%d]: %v != %v (not bit-identical)", workers, j, got.w[j], want.w[j])
+func TestNumChunksAndBounds(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 1000, 2048, 5000, 1 << 20} {
+		nc := numChunks(n)
+		if n == 0 {
+			if nc != 0 {
+				t.Fatalf("numChunks(0) = %d", nc)
 			}
+			continue
 		}
-		if math.Float64bits(got.b) != math.Float64bits(want.b) {
-			t.Fatalf("workers=%d intercept: %v != %v", workers, got.b, want.b)
+		if nc < 1 || nc > maxChunks {
+			t.Fatalf("numChunks(%d) = %d out of range", n, nc)
 		}
-	}
-}
-
-func TestLogRegCloneKeepsWorkers(t *testing.T) {
-	m := NewLogReg(2)
-	m.Workers = 5
-	clone, ok := m.Clone().(*LogReg)
-	if !ok || clone.Workers != 5 {
-		t.Fatalf("Clone dropped Workers: %+v", clone)
+		if n <= minChunkLen && nc != 1 {
+			t.Fatalf("numChunks(%d) = %d, want 1 for small inputs", n, nc)
+		}
+		prev := 0
+		for c := 0; c < nc; c++ {
+			lo, hi := chunkBounds(n, c)
+			if lo != prev {
+				t.Fatalf("n=%d chunk %d: lo=%d, want %d (contiguous)", n, c, lo, prev)
+			}
+			if hi <= lo {
+				t.Fatalf("n=%d chunk %d: empty range [%d,%d)", n, c, lo, hi)
+			}
+			prev = hi
+		}
+		if prev != n {
+			t.Fatalf("n=%d: chunks cover [0,%d), want [0,%d)", n, prev, n)
+		}
 	}
 }
 
 // TestLogRegFitAllocCeiling is the alloc tripwire for the training loop:
-// allocations must not scale with epochs (the per-epoch state is the weight
-// vector, the partial buffer, and the merged gradient, all hoisted).
+// allocations must not scale with epochs or chunks (the state is the weight
+// vector, the chunk partial, and the merged gradient, all hoisted).
 func TestLogRegFitAllocCeiling(t *testing.T) {
-	if parallel.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	d := fuzzBinary(xrand.New(61), 300, 12)
@@ -158,8 +152,8 @@ func TestLogRegFitAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 10 {
-		t.Fatalf("LogReg.Fit allocates %.0f objects, ceiling 10", allocs)
+	if allocs > 3 {
+		t.Fatalf("LogReg.Fit allocates %.0f objects, ceiling 3", allocs)
 	}
 }
 

@@ -93,12 +93,6 @@ type Spec struct {
 	VarSmoothing float64
 	// MaxDepth is the DT depth limit. Zero means 4.
 	MaxDepth int
-
-	// Workers is a scheduling hint, not a hyperparameter: it caps the
-	// data-parallel goroutines inside Fit for kernels that support it
-	// (currently LR); <= 1 trains single-threaded. It never changes the
-	// fitted model, so two specs differing only in Workers are equivalent.
-	Workers int
 }
 
 // New instantiates an untrained classifier from the spec.
@@ -109,9 +103,7 @@ func New(s Spec) (Classifier, error) {
 		if c == 0 {
 			c = 1
 		}
-		lr := NewLogReg(c)
-		lr.Workers = s.Workers
-		return lr, nil
+		return NewLogReg(c), nil
 	case KindNB:
 		vs := s.VarSmoothing
 		if vs == 0 {

@@ -40,7 +40,7 @@ func New(spec model.Spec, epsilon float64, rng *xrand.RNG) (model.Classifier, er
 		if c == 0 {
 			c = 1
 		}
-		return &DPLogReg{C: c, Epsilon: epsilon, Workers: spec.Workers, rng: rng.Split()}, nil
+		return &DPLogReg{C: c, Epsilon: epsilon, rng: rng.Split()}, nil
 	case model.KindNB:
 		vs := spec.VarSmoothing
 		if vs == 0 {
@@ -68,9 +68,6 @@ type DPLogReg struct {
 	C float64
 	// Epsilon is the privacy budget.
 	Epsilon float64
-	// Workers is forwarded to the base LR's gradient pass; it never
-	// changes the fitted (or released) model.
-	Workers int
 
 	base *model.LogReg
 	rng  *xrand.RNG
@@ -81,14 +78,13 @@ func (m *DPLogReg) Name() string { return "DP-LR" }
 
 // Clone implements model.Classifier.
 func (m *DPLogReg) Clone() model.Classifier {
-	return &DPLogReg{C: m.C, Epsilon: m.Epsilon, Workers: m.Workers, rng: m.rng.Split()}
+	return &DPLogReg{C: m.C, Epsilon: m.Epsilon, rng: m.rng.Split()}
 }
 
 // Fit implements model.Classifier: trains the base model, then perturbs the
 // released coefficient vector.
 func (m *DPLogReg) Fit(d *dataset.Dataset) error {
 	m.base = model.NewLogReg(m.C)
-	m.base.Workers = m.Workers
 	if err := m.base.Fit(d); err != nil {
 		return err
 	}

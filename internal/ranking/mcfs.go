@@ -7,7 +7,6 @@ import (
 	"github.com/declarative-fs/dfs/internal/budget"
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/linalg"
-	"github.com/declarative-fs/dfs/internal/parallel"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -27,12 +26,6 @@ type MCFS struct {
 	SampleRows int
 	// Alpha is the lasso penalty; 0 means 0.01.
 	Alpha float64
-	// Workers bounds the goroutines used for the kNN affinity graph and the
-	// Laplacian assembly; <= 1 runs single-threaded. Results are
-	// bit-identical for every worker count: neighbour lists are computed
-	// per row independently and the affinity symmetrization is applied
-	// sequentially in row order.
-	Workers int
 }
 
 // EmbeddingError reports an MCFS spectral embedding that failed on the
@@ -56,9 +49,6 @@ func (MCFS) Name() string { return "MCFS" }
 
 // Family implements Ranker.
 func (MCFS) Family() budget.RankingFamily { return budget.RankMCFS }
-
-// WithWorkers implements WorkerTunable.
-func (m MCFS) WithWorkers(w int) Ranker { m.Workers = w; return m }
 
 // Rank implements Ranker.
 func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
@@ -117,36 +107,15 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	if sigma2 <= 0 {
 		sigma2 = 1
 	}
-	// Phase 1 (parallel): each row's nearest neighbours and affinities are
-	// independent of every other row's, so they land in per-row slots of
-	// flat buffers; the heap scratch is reused across the rows of a chunk.
-	// Phase 2 (sequential): the symmetrized max-merge writes cross rows
-	// (w[i,l] and w[l,i]), so it is applied in row order — the exact write
-	// order of a serial loop, for any worker count.
-	workers := m.Workers
-	if workers < 1 {
-		workers = 1 // zero-value rankers run serially; core passes an explicit bound
-	}
-	deg := kNN + 1
-	nbrIdx := make([]int, n*deg)
-	nbrAff := make([]float64, n*deg)
-	nbrCnt := make([]int, n)
-	parallel.Run(workers, n, func(_, lo, hi int) {
-		var scratch linalg.NNScratch
-		var nn []int
-		for i := lo; i < hi; i++ {
-			nn = linalg.KNNSelf(x, x.Row(i), deg, linalg.Euclidean, i, &scratch, nn)
-			nbrCnt[i] = len(nn)
-			for t, l := range nn {
-				nbrIdx[i*deg+t] = l
-				nbrAff[i*deg+t] = math.Exp(-linalg.SqDist(x.Row(i), x.Row(l)) / sigma2)
-			}
-		}
-	})
+	// The symmetrized max-merge writes w[i,l] and w[l,i], so rows merge in
+	// row order; the neighbour search reads only x. The heap scratch is
+	// reused across rows.
+	var scratch linalg.NNScratch
+	var nn []int
 	for i := 0; i < n; i++ {
-		for t := 0; t < nbrCnt[i]; t++ {
-			l := nbrIdx[i*deg+t]
-			a := nbrAff[i*deg+t]
+		nn = linalg.KNNSelf(x, x.Row(i), kNN+1, linalg.Euclidean, i, &scratch, nn)
+		for _, l := range nn {
+			a := math.Exp(-linalg.SqDist(x.Row(i), x.Row(l)) / sigma2)
 			if a > w.At(i, l) {
 				w.Set(i, l, a)
 				w.Set(l, i, a)
@@ -154,34 +123,27 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 		}
 	}
 
-	// Normalized Laplacian L = I − D^{-1/2} W D^{-1/2}. Both passes write
-	// disjoint per-row outputs over a frozen w, so chunking them is safe
-	// and worker-count independent (the degree sum stays a single serial
-	// left-to-right reduction per row).
+	// Normalized Laplacian L = I − D^{-1/2} W D^{-1/2}.
 	dInvSqrt := make([]float64, n)
-	parallel.Run(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := 0.0
-			for l := 0; l < n; l++ {
-				d += w.At(i, l)
-			}
-			if d > 0 {
-				dInvSqrt[i] = 1 / math.Sqrt(d)
-			}
+	for i := 0; i < n; i++ {
+		d := 0.0
+		for l := 0; l < n; l++ {
+			d += w.At(i, l)
 		}
-	})
+		if d > 0 {
+			dInvSqrt[i] = 1 / math.Sqrt(d)
+		}
+	}
 	lap := linalg.NewMatrix(n, n)
-	parallel.Run(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for l := 0; l < n; l++ {
-				v := -dInvSqrt[i] * w.At(i, l) * dInvSqrt[l]
-				if i == l {
-					v += 1
-				}
-				lap.Set(i, l, v)
+	for i := 0; i < n; i++ {
+		for l := 0; l < n; l++ {
+			v := -dInvSqrt[i] * w.At(i, l) * dInvSqrt[l]
+			if i == l {
+				v += 1
 			}
+			lap.Set(i, l, v)
 		}
-	})
+	}
 	_, vecs, err := linalg.EigenSym(lap)
 	if err != nil {
 		return nil, &EmbeddingError{Err: err}

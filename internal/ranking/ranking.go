@@ -32,16 +32,6 @@ type Ranker interface {
 	Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 }
 
-// WorkerTunable is implemented by rankers whose internal kernels can run
-// data-parallel (ReliefF, MCFS). WithWorkers returns a copy of the ranker
-// with its worker bound set; it never mutates the receiver, so shared ranker
-// values stay safe to use concurrently. Worker count bounds scheduling only —
-// every WorkerTunable ranker produces bit-identical scores at any setting.
-type WorkerTunable interface {
-	Ranker
-	WithWorkers(workers int) Ranker
-}
-
 // TopK returns the indices of the k highest-scoring features, ties broken by
 // the lower index. k is clamped to [1, len(scores)].
 func TopK(scores []float64, k int) []int {

@@ -6,7 +6,6 @@ import (
 	"github.com/declarative-fs/dfs/internal/budget"
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/linalg"
-	"github.com/declarative-fs/dfs/internal/parallel"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -19,11 +18,6 @@ type ReliefF struct {
 	Neighbors int
 	// Samples is the number of seed instances m; 0 means min(rows, 100).
 	Samples int
-	// Workers bounds the goroutines used to process seed instances;
-	// <= 1 runs single-threaded. Every worker count produces bit-identical
-	// scores: each seed's contribution is computed independently and the
-	// contributions are summed sequentially in seed order.
-	Workers int
 }
 
 // Name implements Ranker.
@@ -31,9 +25,6 @@ func (ReliefF) Name() string { return "ReliefF" }
 
 // Family implements Ranker.
 func (ReliefF) Family() budget.RankingFamily { return budget.RankReliefF }
-
-// WithWorkers implements WorkerTunable.
-func (r ReliefF) WithWorkers(w int) Ranker { r.Workers = w; return r }
 
 // Rank implements Ranker.
 func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
@@ -67,60 +58,41 @@ func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 
 	w := make([]float64, p)
 	seeds := rng.Sample(n, m)
-	// Phase 1 (parallel): each seed's per-feature contribution lands in its
-	// own slot of deltas. Neighbour-heap and accumulator scratch is reused
-	// across all seeds of a chunk.
-	deltas := make([]float64, len(seeds)*p)
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1 // zero-value rankers run serially; core passes an explicit bound
-	}
-	parallel.Run(workers, len(seeds), func(_, lo, hi int) {
-		var hitScratch, missScratch linalg.NNScratch
-		var hits, misses []int
-		hitAcc := make([]float64, p)
-		missAcc := make([]float64, p)
-		for s := lo; s < hi; s++ {
-			i := seeds[s]
-			row := train.X.Row(i)
-			y := train.Y[i]
-			hits = linalg.KNNWithin(train.X, row, byClass[y], k, linalg.Manhattan, i, &hitScratch, hits)
-			misses = linalg.KNNWithin(train.X, row, byClass[1-y], k, linalg.Manhattan, i, &missScratch, misses)
-			if len(hits) == 0 || len(misses) == 0 {
-				continue
-			}
-			// Row-wise accumulation: one pass over each neighbour's row.
-			// For a fixed feature j the neighbour additions happen in the
-			// same order as the seed implementation's inner loops, so the
-			// sums are bit-identical.
-			for j := 0; j < p; j++ {
-				hitAcc[j], missAcc[j] = 0, 0
-			}
-			for _, h := range hits {
-				hrow := train.X.Row(h)
-				for j, v := range hrow {
-					hitAcc[j] += absDiff(row[j], v)
-				}
-			}
-			for _, ms := range misses {
-				mrow := train.X.Row(ms)
-				for j, v := range mrow {
-					missAcc[j] += absDiff(row[j], v)
-				}
-			}
-			delta := deltas[s*p : (s+1)*p]
-			nh, nm := float64(len(hits)), float64(len(misses))
-			for j := 0; j < p; j++ {
-				delta[j] = missAcc[j]/nm - hitAcc[j]/nh
+	// Neighbour-heap and accumulator scratch is reused across all seeds.
+	var hitScratch, missScratch linalg.NNScratch
+	var hits, misses []int
+	hitAcc := make([]float64, p)
+	missAcc := make([]float64, p)
+	for _, i := range seeds {
+		row := train.X.Row(i)
+		y := train.Y[i]
+		hits = linalg.KNNWithin(train.X, row, byClass[y], k, linalg.Manhattan, i, &hitScratch, hits)
+		misses = linalg.KNNWithin(train.X, row, byClass[1-y], k, linalg.Manhattan, i, &missScratch, misses)
+		if len(hits) == 0 || len(misses) == 0 {
+			continue
+		}
+		// Row-wise accumulation: one pass over each neighbour's row.
+		// For a fixed feature j the neighbour additions happen in the
+		// same order as the seed implementation's inner loops, so the
+		// sums are bit-identical.
+		for j := 0; j < p; j++ {
+			hitAcc[j], missAcc[j] = 0, 0
+		}
+		for _, h := range hits {
+			hrow := train.X.Row(h)
+			for j, v := range hrow {
+				hitAcc[j] += absDiff(row[j], v)
 			}
 		}
-	})
-	// Phase 2 (sequential): merge contributions in seed order — the exact
-	// accumulation order of the serial implementation, for any worker count.
-	for s := range seeds {
-		delta := deltas[s*p : (s+1)*p]
+		for _, ms := range misses {
+			mrow := train.X.Row(ms)
+			for j, v := range mrow {
+				missAcc[j] += absDiff(row[j], v)
+			}
+		}
+		nh, nm := float64(len(hits)), float64(len(misses))
 		for j := 0; j < p; j++ {
-			w[j] += delta[j]
+			w[j] += missAcc[j]/nm - hitAcc[j]/nh
 		}
 	}
 	// Shift to non-negative scores preserving order.

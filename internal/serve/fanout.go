@@ -697,8 +697,8 @@ func sortedRecords(byID map[int]bench.Record) []bench.Record {
 // shardJobSpec maps the coordinator's bench config back onto the wire spec a
 // worker accepts, restricted to one shard. The mapping must round-trip
 // through the worker's own benchConfig to the same record-identity fields
-// (Workers/KernelWorkers/Label are excluded from identity, so the worker's
-// local parallelism and labeling are free).
+// (Workers/Label are excluded from identity, so the worker's local
+// parallelism and labeling are free).
 func shardJobSpec(cfg bench.Config, shard bench.ShardSpec) JobSpec {
 	return JobSpec{
 		Scenarios:  cfg.Scenarios,

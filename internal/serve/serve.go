@@ -63,7 +63,7 @@ type Config struct {
 	// Workers is the number of concurrent job executions. 0 means 2.
 	Workers int
 	// PoolWorkers is the scenario/strategy parallelism inside each job's
-	// pool build (bench.Config.Workers); 0 means GOMAXPROCS.
+	// pool build (bench.Config.Workers); <= 0 means GOMAXPROCS.
 	PoolWorkers int
 	// MaxScenarios caps JobSpec.Scenarios at admission; 0 means 1000.
 	MaxScenarios int
