@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"github.com/declarative-fs/dfs/internal/bench"
 	"github.com/declarative-fs/dfs/internal/obs"
 )
 
@@ -165,24 +164,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
 		return
 	}
-	if r.URL.Query().Get("follow") != "" {
-		s.streamResult(w, r, job)
-		return
-	}
-	pool := job.result()
-	if pool == nil {
+	if st := job.State(); st != StateDone && r.URL.Query().Get("follow") == "" {
 		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job %s is %s, not done", job.ID, job.State()),
+			Error: fmt.Sprintf("job %s is %s, not done", job.ID, st),
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	if err := bench.WritePoolCSV(w, pool); err != nil {
-		// Headers are gone; the best we can do is cut the connection so the
-		// client sees a truncated body instead of a silently short CSV.
-		s.cfg.Logf("serve: result %s: %v", job.ID, err)
-		panic(http.ErrAbortHandler)
-	}
+	s.streamResult(w, r, job)
 }
 
 // handleMetrics serves the registry — JSON by default, Prometheus text

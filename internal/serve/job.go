@@ -138,11 +138,15 @@ func (sp JobSpec) deadline(c Config) time.Duration {
 }
 
 // Job is one admitted scenario-selection job. Mutable fields are guarded by
-// mu; the identity fields (ID, Tenant, Spec) are immutable after admission.
+// mu; the identity fields (ID, Tenant, Spec) and ckpt are immutable after
+// admission.
 type Job struct {
 	ID     string
 	Tenant string
 	Spec   JobSpec
+
+	ckpt     string     // the job's checkpoint file
+	resident *obs.Gauge // serve.jobs.records_resident, moved with len(live)
 
 	mu       sync.Mutex
 	state    State
@@ -151,15 +155,19 @@ type Job struct {
 	retries  int
 	cost     float64
 	resumed  bool // re-enqueued from disk by a restarted daemon
-	pool     *bench.Pool
 
-	// live indexes completed records by scenario ID while the job runs (and
-	// after it finishes), feeding the chunked-CSV result stream, the
-	// checkpoint follow stream and Status.RecordsDone; update is
-	// the change-notification channel: closed and replaced whenever a record
-	// lands or the state moves, so streamers wait without polling.
-	live   map[int]*bench.Record
-	update chan struct{}
+	// live indexes the records the checkpoint took, by scenario ID, while
+	// they are resident: until the job is terminal and no stream that
+	// attached before then (followers) is still reading. Then release drops
+	// them, and every later reader reads them back from the checkpoint
+	// (reader). recordsDone counts them for Status.RecordsDone and outlives
+	// live. update is the change-notification channel: closed and replaced
+	// whenever a record lands or the state moves, so streamers wait without
+	// polling.
+	live        map[int]*bench.Record
+	recordsDone int
+	followers   int
+	update      chan struct{}
 
 	// Process-local tracing and SLO state, never persisted. span is the
 	// job's trace identity, opened at admission; the worker that runs the
@@ -177,9 +185,9 @@ type Status struct {
 	ID    string  `json:"id"`
 	State State   `json:"state"`
 	Spec  JobSpec `json:"spec"`
-	// RecordsDone counts the job's completed records, resumed or executed:
-	// the size of the deduplicated index the result and checkpoint streams
-	// serve, so it is monotone toward RecordsTotal.
+	// RecordsDone counts the job's completed records, resumed or executed,
+	// deduplicated: the records the result and checkpoint streams serve, so
+	// it is monotone toward RecordsTotal.
 	RecordsDone int `json:"records_done"`
 	// RecordsTotal is the number of scenarios this job will produce: the
 	// job's shard slice of Spec.Scenarios (equal to Spec.Scenarios for
@@ -204,7 +212,7 @@ func (j *Job) Status() Status {
 		ID:              j.ID,
 		State:           j.state,
 		Spec:            j.Spec,
-		RecordsDone:     len(j.live),
+		RecordsDone:     j.recordsDone,
 		RecordsTotal:    j.Spec.shardSpec().Size(j.Spec.Scenarios),
 		Retries:         j.retries,
 		Resumed:         j.resumed,
@@ -219,16 +227,6 @@ func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// result returns the completed pool, or nil unless the job is done.
-func (j *Job) result() *bench.Pool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil
-	}
-	return j.pool
 }
 
 func (j *Job) setState(s State) {
@@ -258,7 +256,7 @@ func (j *Job) changed() <-chan struct{} {
 	return j.update
 }
 
-// publish registers a completed record for live result streaming
+// publish registers a record the checkpoint took for live streaming
 // (deduplicated by scenario ID — retries re-resume the checkpoint and would
 // otherwise replay records) and wakes streamers.
 func (j *Job) publish(rec *bench.Record) {
@@ -268,19 +266,73 @@ func (j *Job) publish(rec *bench.Record) {
 	}
 	if _, ok := j.live[rec.ID]; !ok {
 		j.live[rec.ID] = rec
+		j.recordsDone++
+		j.resident.Add(1)
 		j.notifyLocked()
 	}
 	j.mu.Unlock()
 }
 
-// adoptPool indexes a completed pool's records for streaming, superseding
-// whatever the live map accumulated (same bytes — the pool was assembled
-// from those very records).
-func (j *Job) adoptPoolLocked(p *bench.Pool) {
-	j.live = make(map[int]*bench.Record, len(p.Records))
-	for i := range p.Records {
-		j.live[p.Records[i].ID] = &p.Records[i]
+// releaseLocked drops a terminal job's resident records once no stream is
+// reading them; its checkpoint holds every one. Callers hold j.mu.
+func (j *Job) releaseLocked() {
+	if j.state.terminal() && j.followers == 0 && j.live != nil {
+		j.resident.Add(-int64(len(j.live)))
+		j.live = nil
 	}
+}
+
+// reader attaches a stream to the job's records. It returns the job to read
+// them from and the func to call when the stream ends. While the records
+// are resident that is the job itself, and they stay resident until that
+// call. Once the job has released them it is a finished copy read back from
+// the checkpoint, which the stream holds alone.
+func (j *Job) reader() (*Job, func(), error) {
+	j.mu.Lock()
+	if !j.state.terminal() || j.followers > 0 {
+		j.followers++
+		j.mu.Unlock()
+		return j, j.detach, nil
+	}
+	state, want := j.state, j.recordsDone
+	j.mu.Unlock()
+	back := &Job{ID: j.ID, Spec: j.Spec, state: state}
+	if want > 0 {
+		recs, err := j.readBack(want)
+		if err != nil {
+			return nil, nil, err
+		}
+		back.live = make(map[int]*bench.Record, len(recs))
+		for i := range recs {
+			back.live[recs[i].ID] = &recs[i]
+		}
+	}
+	return back, func() {}, nil
+}
+
+// detach ends a stream's attachment, releasing the records when it was the
+// last reader of a terminal job.
+func (j *Job) detach() {
+	j.mu.Lock()
+	j.followers--
+	j.releaseLocked()
+	j.mu.Unlock()
+}
+
+// readBack reads the job's records back from its fsync'd checkpoint: the
+// same JSON round trip a restarted daemon recovers a done job through, so
+// they are bit-identical to the records the job published. want is how
+// many it published; a checkpoint that no longer holds that many (evicted,
+// damaged) is an error, so no reader ever serves a short result.
+func (j *Job) readBack(want int) ([]bench.Record, error) {
+	_, recs, err := bench.ReadCheckpoint(j.ckpt)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) < want {
+		return nil, fmt.Errorf("serve: checkpoint of job %s holds %d of its %d records", j.ID, len(recs), want)
+	}
+	return recs, nil
 }
 
 // availableFrom returns the contiguous run of completed records starting at

@@ -192,6 +192,9 @@ type Server struct {
 	mEvicted                        *obs.Counter
 	gQueueDepth, gRunning, gTenants *obs.Gauge
 	gOldestAge                      *obs.Gauge
+	// gResident counts the records every job holds in memory
+	// (serve.jobs.records_resident): moved at publish and at release.
+	gResident *obs.Gauge
 	// SLO latency histograms: time queued, time executing, admission→end.
 	hQueueWait, hRun, hE2E *obs.Histogram
 }
@@ -200,9 +203,9 @@ type Server struct {
 var errDraining = errors.New("serve: draining")
 
 // New builds a Server over cfg.Dir, re-adopting every persisted job: done
-// and failed jobs are reloaded as terminal records (done jobs recover their
-// result from the checkpoint), everything else — queued, running at crash
-// time, drained — is re-enqueued for resumed execution. Workers start
+// and failed jobs are reloaded as terminal records (a done job's checkpoint
+// must read back whole), everything else — queued, running at crash time,
+// drained — is re-enqueued for resumed execution. Workers start
 // immediately.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -242,6 +245,7 @@ func New(cfg Config) (*Server, error) {
 		gRunning:     m.Gauge("serve.jobs.running"),
 		gTenants:     m.Gauge("serve.tenants"),
 		gOldestAge:   m.Gauge("serve.queue.oldest_age_seconds"),
+		gResident:    m.Gauge("serve.jobs.records_resident"),
 		hQueueWait:   m.Histogram("serve.job.queue_wait_seconds"),
 		hRun:         m.Histogram("serve.job.run_seconds"),
 		hE2E:         m.Histogram("serve.job.e2e_seconds"),
@@ -271,6 +275,7 @@ func New(cfg Config) (*Server, error) {
 		job.setState(StateQueued)
 		if err := job.persist(cfg.Dir); err != nil {
 			cancel()
+			s.closeStore()
 			return nil, err
 		}
 		s.startJobSpan(job, true)
@@ -375,7 +380,7 @@ func (s *Server) gcTerminal(now time.Time) int {
 	return len(evict)
 }
 
-// scanDir loads every persisted job, rebuilding terminal results and
+// scanDir loads every persisted job, checking done jobs' results and
 // returning the jobs that need (re-)execution in ID order.
 func (s *Server) scanDir() ([]*Job, error) {
 	entries, err := os.ReadDir(s.cfg.Dir)
@@ -396,6 +401,7 @@ func (s *Server) scanDir() ([]*Job, error) {
 		if err != nil {
 			return nil, err
 		}
+		job.ckpt, job.resident = s.ckptPath(job.ID), s.gResident
 		if n := idNumber(job.ID); n >= s.nextID {
 			s.nextID = n + 1
 		}
@@ -403,10 +409,9 @@ func (s *Server) scanDir() ([]*Job, error) {
 		s.order = append(s.order, job.ID)
 		switch {
 		case job.state == StateDone:
-			// Recover the result from the checkpoint; the records took the
-			// same JSON round trip a live resume takes, so the pool is
-			// bit-identical to the one the original process held.
-			cfg, records, err := bench.ReadCheckpoint(s.ckptPath(job.ID))
+			// Check the result reads back whole, the way every reader of
+			// it will (Job.reader), and keep only the count.
+			cfg, records, err := bench.ReadCheckpoint(job.ckpt)
 			if err != nil {
 				return nil, fmt.Errorf("serve: job %s is done but its checkpoint is unreadable: %w", job.ID, err)
 			}
@@ -415,8 +420,7 @@ func (s *Server) scanDir() ([]*Job, error) {
 			if want := cfg.Shard.Size(cfg.Scenarios); len(records) != want {
 				return nil, fmt.Errorf("serve: job %s is done but its checkpoint has %d/%d records", job.ID, len(records), want)
 			}
-			job.pool = &bench.Pool{Config: cfg, Records: records}
-			job.adoptPoolLocked(job.pool)
+			job.recordsDone = len(records)
 			s.chargeTenant(job.Tenant, job.cost)
 		case job.state == StateFailed:
 			// Terminal; keep for status queries.
@@ -548,11 +552,14 @@ func (s *Server) Submit(spec JobSpec) (*Job, RejectReason, error) {
 		s.mRejFull.Inc()
 		return nil, RejectQueueFull, fmt.Errorf("serve: job queue full (%d queued)", s.queued)
 	}
+	id := fmt.Sprintf("job-%06d", s.nextID)
 	job := &Job{
-		ID:     fmt.Sprintf("job-%06d", s.nextID),
-		Tenant: spec.Tenant,
-		Spec:   spec,
-		state:  StateQueued,
+		ID:       id,
+		Tenant:   spec.Tenant,
+		Spec:     spec,
+		ckpt:     s.ckptPath(id),
+		resident: s.gResident,
+		state:    StateQueued,
 	}
 	s.nextID++
 	if err := job.persist(s.cfg.Dir); err != nil {
@@ -705,7 +712,7 @@ func (s *Server) buildOnce(ctx context.Context, job *Job, bcfg bench.Config) (p 
 			}
 		}
 	}()
-	w, resumed, err := bench.ResumeCheckpoint(s.ckptPath(job.ID), bcfg)
+	w, resumed, err := bench.ResumeCheckpoint(job.ckpt, bcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -728,28 +735,32 @@ func (s *Server) buildOnce(ctx context.Context, job *Job, bcfg bench.Config) (p 
 	return p, err
 }
 
-// jobSink forwards records to the checkpoint writer and publishes each to
-// the job's record index, which is the job's progress on GET /jobs/{id}.
+// jobSink forwards records to the checkpoint writer and publishes each one
+// it took to the job's record index, which is the job's progress on
+// GET /jobs/{id}. Publishing only what the checkpoint took keeps the index
+// and the checkpoint in step, so a reader after release reads back exactly
+// the records a follower saw.
 type jobSink struct {
 	inner bench.RecordSink
 	job   *Job
 }
 
 func (s *jobSink) Append(rec *bench.Record) error {
-	err := s.inner.Append(rec)
+	if err := s.inner.Append(rec); err != nil {
+		return err
+	}
 	s.job.publish(rec)
-	return err
+	return nil
 }
 
 func (s *Server) finishDone(job *Job, p *bench.Pool) {
 	cost := poolCost(p)
 	job.mu.Lock()
 	job.state = StateDone
-	job.pool = p
 	job.cost = cost
 	job.err = ""
 	job.category = ""
-	job.adoptPoolLocked(p)
+	job.releaseLocked()
 	// Count the terminal state before publishing it: a client that just
 	// observed state=done over HTTP must also see serve.job.done and
 	// serve.jobs.running moved on /metrics.
@@ -775,6 +786,7 @@ func (s *Server) finishFailed(job *Job, err error) {
 	job.state = StateFailed
 	job.err = err.Error()
 	job.category = category
+	job.releaseLocked()
 	s.mFailed.Inc()
 	s.gRunning.Add(-1)
 	job.notifyLocked()

@@ -91,6 +91,21 @@ func awaitState(t *testing.T, url, id string, want State) Status {
 	return Status{}
 }
 
+// result reads a done job's pool back from its checkpoint, the way every
+// reader after release does; nil unless the job is done and its checkpoint
+// reads back whole.
+func (j *Job) result() *bench.Pool {
+	st := j.Status()
+	if st.State != StateDone {
+		return nil
+	}
+	recs, err := j.readBack(st.RecordsDone)
+	if err != nil {
+		return nil
+	}
+	return &bench.Pool{Records: recs}
+}
+
 // checkInvariant asserts the package's accounting identity at quiesce:
 // admitted + resumed == done + failed + drained + queued + running.
 func checkInvariant(t *testing.T, s *Server) {

@@ -15,8 +15,10 @@ package serve
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"strconv"
@@ -46,16 +48,23 @@ var (
 // fan-out's liveness watchdog) can tighten it.
 var checkpointKeepalive = 2 * time.Second
 
-// streamResult answers GET /jobs/{id}/result?follow=1: a chunked CSV of
-// completed records emitted in scenario-ID order as they become available,
-// ending when the job reaches a terminal (or drained) state. The job state
-// at stream end is declared in the X-Dfs-Job-State trailer.
+// streamResult answers GET /jobs/{id}/result: a chunked CSV of completed
+// records emitted in scenario-ID order as they become available, ending
+// when the job reaches a terminal (or drained) state. The job state at
+// stream end is declared in the X-Dfs-Job-State trailer. On a done job it
+// writes the whole result at once, which is how the plain GET answers.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})
 		return
 	}
+	src, detach, err := job.reader()
+	if err != nil {
+		s.readBackFailed(w, job, err)
+		return
+	}
+	defer detach()
 	w.Header().Set("Content-Type", "text/csv")
 	w.Header().Set("Trailer", trailerJobState)
 	cw := csv.NewWriter(w)
@@ -68,8 +77,8 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) 
 	for {
 		// Grab the wait channel before snapshotting, so a record landing
 		// between the snapshot and the wait wakes the next iteration.
-		ch := job.changed()
-		recs, n, state := job.availableFrom(next)
+		ch := src.changed()
+		recs, n, state := src.availableFrom(next)
 		next = n
 		for _, rec := range recs {
 			if err := bench.WriteRecordCSV(cw, rec); err != nil {
@@ -123,10 +132,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	f, err := os.Open(s.ckptPath(job.ID))
+	f, err := os.Open(job.ckpt)
 	if err != nil {
-		s.cfg.Logf("serve: checkpoint %s: %v", job.ID, err)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint unreadable"})
+		s.readBackFailed(w, job, err)
 		return
 	}
 	defer f.Close()
@@ -134,6 +142,18 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.Copy(w, f); err != nil {
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// readBackFailed answers a request whose job's checkpoint does not read
+// back whole with a JSON error, before any byte of the body: 410 when the
+// file is gone (the job was evicted under the request), else 500.
+func (s *Server) readBackFailed(w http.ResponseWriter, job *Job, err error) {
+	s.cfg.Logf("serve: checkpoint %s: %v", job.ID, err)
+	if errors.Is(err, fs.ErrNotExist) {
+		writeJSON(w, http.StatusGone, errorBody{Error: fmt.Sprintf("job %s was evicted", job.ID)})
+		return
+	}
+	writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint unreadable"})
 }
 
 // streamCheckpoint answers GET /jobs/{id}/checkpoint?follow=1[&from=<id>]:
@@ -164,6 +184,12 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint header: " + err.Error()})
 		return
 	}
+	src, detach, err := job.reader()
+	if err != nil {
+		s.readBackFailed(w, job, err)
+		return
+	}
+	defer detach()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Trailer", trailerJobState)
 	if _, err := w.Write(hdr); err != nil {
@@ -175,8 +201,8 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 	for {
 		// Grab the wait channel before snapshotting, so a record landing
 		// between the snapshot and the wait wakes the next iteration.
-		ch := job.changed()
-		recs, n, state := job.availableFrom(next)
+		ch := src.changed()
+		recs, n, state := src.availableFrom(next)
 		next = n
 		for _, rec := range recs {
 			line, err := json.Marshal(rec)
