@@ -123,14 +123,17 @@ func BenchmarkScenarioPoolWarmStore(b *testing.B) {
 }
 
 // BenchmarkTable3 regenerates Table 3: coverage and fastest fraction per
-// strategy under default parameters and HPO, plus optimizer and oracle rows.
+// strategy under default parameters and HPO, plus optimizer and oracle rows
+// (includes LODO training).
 func BenchmarkTable3(b *testing.B) {
 	def, hpo, _ := pools(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table3(def, hpo, 5); err != nil {
+		eval, err := bench.EvaluateOptimizer(hpo, 5)
+		if err != nil {
 			b.Fatal(err)
 		}
+		bench.Table3(def, hpo, eval)
 	}
 }
 

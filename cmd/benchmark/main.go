@@ -8,8 +8,12 @@
 //	benchmark -exp figure5 -grid 5
 //
 // Experiments: table3 table4 table5 table6 table7 table8 table9 figure1
-// figure4 figure5 all. Output goes to stdout; pass -out DIR to also write
-// one text file per experiment.
+// figure4 figure5 (the paper's §6), ablation and extension (DESIGN.md §3),
+// all (those twelve, in that order), and pool (build the HPO pool only,
+// for -checkpoint, -shard and -merge). Output goes to stdout; pass -out DIR
+// to also write one text file per experiment. Each table and figure is
+// computed at most once per run: -report and -figures-json render the
+// values the run printed, computing only those it did not.
 //
 // Scale guidance: the paper's pools took four compute-weeks; the simulated
 // cost meter (see DESIGN.md §4) compresses that to minutes. -scenarios 60
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -38,7 +43,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (pool, table3..table9, figure1, figure4, figure5, all)")
+	exp := flag.String("exp", "all", "experiment to run: table3, table4, table5, table6, table7, table8, table9, figure1, figure4, figure5, ablation, extension, all (those twelve, in order), or pool (build the HPO pool only)")
 	scenarios := flag.Int("scenarios", 60, "fuzzed scenarios per pool")
 	seed := flag.Uint64("seed", 7, "determinism seed")
 	maxEvals := flag.Int("maxevals", 120, "real-compute guard per strategy run")
@@ -130,8 +135,7 @@ func main() {
 
 	r := &runner{
 		ctx: ctx, cfg: cfg, outDir: *outDir, grid: *grid, figure1N: *figure1N,
-		seed: *seed, checkpoint: *checkpointPrefix, resume: *resume, shard: shard,
-		store: store,
+		checkpoint: *checkpointPrefix, resume: *resume, shard: shard, store: store,
 	}
 	if *merge {
 		if err := r.mergePools(flag.Args()); err != nil {
@@ -286,7 +290,7 @@ func setupObs(ctx context.Context, debugAddr, tracePath string, traceRotate int6
 
 // dumpPool writes the HPO pool's raw per-strategy outcomes as CSV.
 func (r *runner) dumpPool(path string) error {
-	hpo, err := r.getHPOPool()
+	hpo, err := r.pool(hpoPool)
 	if err != nil {
 		return err
 	}
@@ -308,87 +312,31 @@ func writePoolFile(path string, p *bench.Pool) error {
 	return f.Close()
 }
 
-// writeReport regenerates every experiment (reusing cached pools) and emits
-// the paper-vs-measured EXPERIMENTS document.
+// writeReport emits the paper-vs-measured EXPERIMENTS document from the
+// run's tables and figures, computing those the run did not.
 func (r *runner) writeReport(path string) error {
-	def, err := r.getDefaultPool()
-	if err != nil {
-		return err
+	for _, e := range slices.Concat(tables, figures) {
+		if _, err := e.result(r); err != nil {
+			return err
+		}
 	}
-	hpo, err := r.getHPOPool()
-	if err != nil {
-		return err
-	}
-	util, err := r.getUtilityPool()
-	if err != nil {
-		return err
-	}
-	eval, err := r.getOptimizerEval()
-	if err != nil {
-		return err
-	}
-	t3, err := bench.Table3(def, hpo, r.seed)
-	if err != nil {
-		return err
-	}
-	t7, err := bench.Table7(hpo, r.seed)
-	if err != nil {
-		return err
-	}
-	fig1, err := bench.Figure1(r.figure1N, r.seed)
-	if err != nil {
-		return err
-	}
-	fig5, err := bench.Figure5(bench.Figure5Config{
-		GridN: r.grid, MaxEvals: r.cfg.MaxEvals, Seed: r.seed, HPO: true,
-	})
-	if err != nil {
-		return err
-	}
-	doc := report.Generate(&report.Results{
-		Table3:    t3,
-		Table4:    bench.Table4(hpo, util),
-		Table5:    bench.Table5(hpo),
-		Table6:    bench.Table6(hpo),
-		Table7:    t7,
-		Table8:    bench.Table8(hpo),
-		Table9:    bench.Table9(hpo, eval),
-		Figure1:   fig1,
-		Figure4:   bench.Figure4(hpo, eval),
-		Figure5:   fig5,
-		Scenarios: r.cfg.Scenarios,
-		Seed:      r.seed,
-		MaxEvals:  r.cfg.MaxEvals,
-	})
-	return os.WriteFile(path, []byte(doc), 0o644)
+	r.res.Scenarios, r.res.Seed, r.res.MaxEvals = r.cfg.Scenarios, r.cfg.Seed, r.cfg.MaxEvals
+	return os.WriteFile(path, []byte(report.Generate(&r.res)), 0o644)
 }
 
-// writeFiguresJSON regenerates the figures (reusing cached pools) and emits
-// them as one NaN-free JSON document.
+// writeFiguresJSON emits the run's figures as one NaN-free JSON document,
+// computing those the run did not.
 func (r *runner) writeFiguresJSON(path string) error {
-	hpo, err := r.getHPOPool()
-	if err != nil {
-		return err
-	}
-	eval, err := r.getOptimizerEval()
-	if err != nil {
-		return err
-	}
-	fig1, err := bench.Figure1(r.figure1N, r.seed)
-	if err != nil {
-		return err
-	}
-	fig5, err := bench.Figure5(bench.Figure5Config{
-		GridN: r.grid, MaxEvals: r.cfg.MaxEvals, Seed: r.seed, HPO: true,
-	})
-	if err != nil {
-		return err
+	for _, e := range figures {
+		if _, err := e.result(r); err != nil {
+			return err
+		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := bench.WriteFiguresJSON(f, fig1, bench.Figure4(hpo, eval), fig5); err != nil {
+	if err := bench.WriteFiguresJSON(f, r.res.Figure1, r.res.Figure4, r.res.Figure5); err != nil {
 		f.Close()
 		return err
 	}
@@ -405,17 +353,15 @@ type runner struct {
 	outDir     string
 	grid       int
 	figure1N   int
-	seed       uint64
 	checkpoint string // -checkpoint path prefix ("" disables)
 	resume     bool
 	shard      bench.ShardSpec
 	store      *evalstore.Store // -eval-store handle shared by every pool ("" disables)
 	mergeOnly  bool             // pools come from -merge; never rebuild silently
 
-	defaultPool *bench.Pool
-	hpoPool     *bench.Pool
-	utilityPool *bench.Pool
-	optEval     *bench.OptimizerEval
+	pools   [len(poolLabels)]*bench.Pool // by poolKind, built or merged on first use
+	optEval *bench.OptimizerEval
+	res     report.Results // the tables and figures computed so far
 }
 
 // checkpointPath names one pool's checkpoint file under the -checkpoint
@@ -456,14 +402,14 @@ func (r *runner) mergePools(paths []string) error {
 			return fmt.Errorf("merge: checkpoints %s cover only %d/%d scenarios",
 				strings.Join(groups[key], ", "), len(p.Records), p.Config.Scenarios)
 		}
+		kind := hpoPool
 		switch {
 		case p.Config.Mode == core.ModeMaximizeUtility:
-			r.utilityPool = p
-		case p.Config.HPO:
-			r.hpoPool = p
-		default:
-			r.defaultPool = p
+			kind = utilityPool
+		case !p.Config.HPO:
+			kind = defaultPool
 		}
+		r.pools[kind] = p
 		fmt.Fprintf(os.Stderr, "# merged %d checkpoint file(s) into a %d-scenario pool (%s)\n",
 			len(groups[key]), len(p.Records), key)
 	}
@@ -471,221 +417,248 @@ func (r *runner) mergePools(paths []string) error {
 	return nil
 }
 
-// mergedOnly guards pool getters in -merge mode: rebuilding a pool the
-// merge did not provide would silently mask missing shards (and make any
-// downstream diff pass trivially), so it is an error instead.
-func (r *runner) mergedOnly(label string) error {
-	if r.mergeOnly {
-		return fmt.Errorf("-merge did not provide the %s pool; pass its shard checkpoints or drop -merge", label)
+// run prints one experiment, or all twelve for "all"; "pool" builds (or
+// resumes, or merges) the HPO pool and nothing else: the unit of work for
+// shard workers and checkpointed runs whose tables come later from a
+// -merge invocation.
+func (r *runner) run(exp string) error {
+	if exp == "pool" {
+		_, err := r.pool(hpoPool)
+		return err
+	}
+	found := false
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		found = true
+		body, err := e.result(r)
+		if err != nil {
+			return err
+		}
+		if err := r.emit(e.name, e.title, body); err != nil {
+			return err
+		}
+	}
+	if !found {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
 }
 
-func (r *runner) run(exp string) error {
-	switch exp {
-	case "pool":
-		// Build (or resume/merge) the HPO pool and nothing else: the unit of
-		// work for shard workers and checkpointed runs whose tables are
-		// produced later by a -merge invocation.
-		_, err := r.getHPOPool()
-		return err
-	case "all":
-		for _, e := range []string{"table3", "table4", "table5", "table6",
-			"table7", "table8", "table9", "figure1", "figure4", "figure5",
-			"ablation", "extension"} {
-			if err := r.run(e); err != nil {
-				return err
+// experiment is one -exp entry. result computes the experiment into r.res
+// the first time any output asks for it, then renders it as text; later
+// calls render the stored value, so stdout, -out, -report and
+// -figures-json all show one computation.
+type experiment struct {
+	name, title string
+	result      func(r *runner) (string, error)
+}
+
+// tables and figures are the paper's §6 evaluation, the sections -report
+// renders. experiments is -exp all's order: those, then the design
+// ablations and the switching extension, which only print.
+var (
+	tables = []experiment{
+		{"table3", "Table 3: fastest fraction and coverage per strategy", func(r *runner) (string, error) {
+			if r.res.Table3 == nil {
+				def, err := r.pool(defaultPool)
+				if err != nil {
+					return "", err
+				}
+				hpo, eval, err := r.optimizerEval()
+				if err != nil {
+					return "", err
+				}
+				r.res.Table3 = bench.Table3(def, hpo, eval)
 			}
-		}
-		return nil
-	case "extension":
-		seq, err := bench.SequenceExperiment("COMPAS", 10, r.seed)
-		if err != nil {
-			return err
-		}
-		return r.emit("extension",
-			"Extension: dynamic strategy switching (warm-started sequence vs. best single)",
-			seq.Render())
-	case "ablation":
-		pr, err := bench.PruningAblation("COMPAS", 5, r.seed)
-		if err != nil {
-			return err
-		}
-		fl, err := bench.FloatingAblation("COMPAS", 5, r.seed)
-		if err != nil {
-			return err
-		}
-		tp, err := bench.TPEAblation("COMPAS", 5, r.seed)
-		if err != nil {
-			return err
-		}
-		body := "-- evaluation-independent pruning (SBS under a 15% feature cap) --\n" + pr.Render() +
-			"\n-- floating step (Pudil et al.) --\n" + fl.Render() +
-			"\n-- TPE vs random top-k search --\n" + tp.Render()
-		return r.emit("ablation", "Ablations: design choices of DESIGN.md", body)
-	case "table3":
-		def, err := r.getDefaultPool()
-		if err != nil {
-			return err
-		}
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		t, err := bench.Table3(def, hpo, r.seed)
-		if err != nil {
-			return err
-		}
-		return r.emit("table3", "Table 3: fastest fraction and coverage per strategy", t.Render())
-	case "table4":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		util, err := r.getUtilityPool()
-		if err != nil {
-			return err
-		}
-		t := bench.Table4(hpo, util)
-		return r.emit("table4", "Table 4: failure distances and utility-mode normalized F1", t.Render())
-	case "table5":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		return r.emit("table5", "Table 5: coverage per declared constraint type", bench.Table5(hpo).Render())
-	case "table6":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		return r.emit("table6", "Table 6: coverage per classification model", bench.Table6(hpo).Render())
-	case "table7":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		t, err := bench.Table7(hpo, r.seed)
-		if err != nil {
-			return err
-		}
-		return r.emit("table7", "Table 7: feature-set transfer from LR (SFFS)", t.Render())
-	case "table8":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		return r.emit("table8", "Table 8: greedy strategy portfolios", bench.Table8(hpo).Render())
-	case "table9":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		eval, err := r.getOptimizerEval()
-		if err != nil {
-			return err
-		}
-		return r.emit("table9", "Table 9: meta-learning accuracy per strategy", bench.Table9(hpo, eval).Render())
-	case "figure1":
-		points, err := bench.Figure1(r.figure1N, r.seed)
-		if err != nil {
-			return err
-		}
-		return r.emit("figure1", "Figure 1: accuracy trade-off scatter on COMPAS", bench.RenderFigure1(points))
-	case "figure4":
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return err
-		}
-		eval, err := r.getOptimizerEval()
-		if err != nil {
-			return err
-		}
-		return r.emit("figure4", "Figure 4: per-dataset coverage heatmap", bench.Figure4(hpo, eval).Render())
-	case "figure5":
-		res, err := bench.Figure5(bench.Figure5Config{
-			GridN: r.grid, MaxEvals: r.cfg.MaxEvals, Seed: r.seed, HPO: true,
-		})
-		if err != nil {
-			return err
-		}
-		return r.emit("figure5", "Figure 5: fastest strategy per constraint pair on Adult", res.Render())
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+			return r.res.Table3.Render(), nil
+		}},
+		{"table4", "Table 4: failure distances and utility-mode normalized F1", func(r *runner) (string, error) {
+			if r.res.Table4 == nil {
+				hpo, err := r.pool(hpoPool)
+				if err != nil {
+					return "", err
+				}
+				util, err := r.pool(utilityPool)
+				if err != nil {
+					return "", err
+				}
+				r.res.Table4 = bench.Table4(hpo, util)
+			}
+			return r.res.Table4.Render(), nil
+		}},
+		{"table5", "Table 5: coverage per declared constraint type", func(r *runner) (string, error) {
+			if r.res.Table5 == nil {
+				hpo, err := r.pool(hpoPool)
+				if err != nil {
+					return "", err
+				}
+				r.res.Table5 = bench.Table5(hpo)
+			}
+			return r.res.Table5.Render(), nil
+		}},
+		{"table6", "Table 6: coverage per classification model", func(r *runner) (string, error) {
+			if r.res.Table6 == nil {
+				hpo, err := r.pool(hpoPool)
+				if err != nil {
+					return "", err
+				}
+				r.res.Table6 = bench.Table6(hpo)
+			}
+			return r.res.Table6.Render(), nil
+		}},
+		{"table7", "Table 7: feature-set transfer from LR (SFFS)", func(r *runner) (string, error) {
+			if r.res.Table7 == nil {
+				hpo, err := r.pool(hpoPool)
+				if err != nil {
+					return "", err
+				}
+				if r.res.Table7, err = bench.Table7(hpo, r.cfg.Seed); err != nil {
+					return "", err
+				}
+			}
+			return r.res.Table7.Render(), nil
+		}},
+		{"table8", "Table 8: greedy strategy portfolios", func(r *runner) (string, error) {
+			if r.res.Table8 == nil {
+				hpo, err := r.pool(hpoPool)
+				if err != nil {
+					return "", err
+				}
+				r.res.Table8 = bench.Table8(hpo)
+			}
+			return r.res.Table8.Render(), nil
+		}},
+		{"table9", "Table 9: meta-learning accuracy per strategy", func(r *runner) (string, error) {
+			if r.res.Table9 == nil {
+				hpo, eval, err := r.optimizerEval()
+				if err != nil {
+					return "", err
+				}
+				r.res.Table9 = bench.Table9(hpo, eval)
+			}
+			return r.res.Table9.Render(), nil
+		}},
 	}
-}
-
-func (r *runner) getDefaultPool() (*bench.Pool, error) {
-	if r.defaultPool == nil {
-		if err := r.mergedOnly("default-parameter"); err != nil {
-			return nil, err
-		}
-		cfg := r.cfg
-		cfg.HPO = false
-		cfg.Mode = core.ModeSatisfy
-		p, err := r.buildPool("default-parameter", cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.defaultPool = p
+	figures = []experiment{
+		{"figure1", "Figure 1: accuracy trade-off scatter on COMPAS", func(r *runner) (string, error) {
+			if r.res.Figure1 == nil {
+				var err error
+				if r.res.Figure1, err = bench.Figure1(r.figure1N, r.cfg.Seed); err != nil {
+					return "", err
+				}
+			}
+			return bench.RenderFigure1(r.res.Figure1), nil
+		}},
+		{"figure4", "Figure 4: per-dataset coverage heatmap", func(r *runner) (string, error) {
+			if r.res.Figure4 == nil {
+				hpo, eval, err := r.optimizerEval()
+				if err != nil {
+					return "", err
+				}
+				r.res.Figure4 = bench.Figure4(hpo, eval)
+			}
+			return r.res.Figure4.Render(), nil
+		}},
+		{"figure5", "Figure 5: fastest strategy per constraint pair on Adult", func(r *runner) (string, error) {
+			if r.res.Figure5 == nil {
+				var err error
+				r.res.Figure5, err = bench.Figure5(bench.Figure5Config{
+					GridN: r.grid, MaxEvals: r.cfg.MaxEvals, Seed: r.cfg.Seed, HPO: true,
+				})
+				if err != nil {
+					return "", err
+				}
+			}
+			return r.res.Figure5.Render(), nil
+		}},
 	}
-	return r.defaultPool, nil
-}
+	experiments = slices.Concat(tables, figures, []experiment{
+		{"ablation", "Ablations: design choices of DESIGN.md", func(r *runner) (string, error) {
+			pr, err := bench.PruningAblation("COMPAS", 5, r.cfg.Seed)
+			if err != nil {
+				return "", err
+			}
+			fl, err := bench.FloatingAblation("COMPAS", 5, r.cfg.Seed)
+			if err != nil {
+				return "", err
+			}
+			tp, err := bench.TPEAblation("COMPAS", 5, r.cfg.Seed)
+			if err != nil {
+				return "", err
+			}
+			return "-- evaluation-independent pruning (SBS under a 15% feature cap) --\n" + pr.Render() +
+				"\n-- floating step (Pudil et al.) --\n" + fl.Render() +
+				"\n-- TPE vs random top-k search --\n" + tp.Render(), nil
+		}},
+		{"extension", "Extension: dynamic strategy switching (warm-started sequence vs. best single)", func(r *runner) (string, error) {
+			seq, err := bench.SequenceExperiment("COMPAS", 10, r.cfg.Seed)
+			if err != nil {
+				return "", err
+			}
+			return seq.Render(), nil
+		}},
+	})
+)
 
-func (r *runner) getHPOPool() (*bench.Pool, error) {
-	if r.hpoPool == nil {
-		if err := r.mergedOnly("HPO"); err != nil {
-			return nil, err
-		}
-		cfg := r.cfg
-		cfg.HPO = true
-		cfg.Mode = core.ModeSatisfy
-		cfg.Seed = r.cfg.Seed + 1
-		p, err := r.buildPool("HPO", cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.hpoPool = p
+// poolKind names one of the three scenario pools the experiments read; its
+// value is also the pool's seed offset from -seed.
+type poolKind int
+
+const (
+	defaultPool poolKind = iota // default hyperparameters, seed -seed (Table 3)
+	hpoPool                     // HPO grids, seed -seed+1 (every table and Figure 4)
+	utilityPool                 // utility mode, half the scenarios, seed -seed+2 (Table 4)
+)
+
+// poolLabels name the pools, by poolKind, in stderr lines and checkpoint
+// file names.
+var poolLabels = [...]string{"default-parameter", "HPO", "utility-mode"}
+
+// pool returns the kind's pool, building it on first use. In -merge mode a
+// pool the merge did not provide is an error: rebuilding it would silently
+// mask missing shards (and make any downstream diff pass trivially).
+func (r *runner) pool(kind poolKind) (*bench.Pool, error) {
+	if p := r.pools[kind]; p != nil {
+		return p, nil
 	}
-	return r.hpoPool, nil
-}
-
-func (r *runner) getUtilityPool() (*bench.Pool, error) {
-	if r.utilityPool == nil {
-		if err := r.mergedOnly("utility-mode"); err != nil {
-			return nil, err
-		}
-		cfg := r.cfg
-		cfg.HPO = true
+	label := poolLabels[kind]
+	if r.mergeOnly {
+		return nil, fmt.Errorf("-merge did not provide the %s pool; pass its shard checkpoints or drop -merge", label)
+	}
+	cfg := r.cfg
+	cfg.HPO = kind != defaultPool
+	cfg.Seed += uint64(kind)
+	if kind == utilityPool {
 		cfg.Mode = core.ModeMaximizeUtility
-		cfg.Seed = r.cfg.Seed + 2
 		cfg.Scenarios = r.cfg.Scenarios / 2 // mirrors the paper's smaller utility pool
 		if cfg.Scenarios == 0 {
 			cfg.Scenarios = 1
 		}
-		p, err := r.buildPool("utility-mode", cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.utilityPool = p
 	}
-	return r.utilityPool, nil
+	p, err := r.buildPool(label, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.pools[kind] = p
+	return p, nil
 }
 
-func (r *runner) getOptimizerEval() (*bench.OptimizerEval, error) {
-	if r.optEval == nil {
-		hpo, err := r.getHPOPool()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(os.Stderr, "# training DFS optimizer (leave-one-dataset-out)...")
-		eval, err := bench.EvaluateOptimizer(hpo, r.seed)
-		if err != nil {
-			return nil, err
-		}
-		r.optEval = eval
+// optimizerEval returns the HPO pool and the DFS optimizer's
+// leave-one-dataset-out evaluation on it, trained once per run.
+func (r *runner) optimizerEval() (*bench.Pool, *bench.OptimizerEval, error) {
+	hpo, err := r.pool(hpoPool)
+	if err != nil {
+		return nil, nil, err
 	}
-	return r.optEval, nil
+	if r.optEval == nil {
+		fmt.Fprintln(os.Stderr, "# training DFS optimizer (leave-one-dataset-out)...")
+		if r.optEval, err = bench.EvaluateOptimizer(hpo, r.cfg.Seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	return hpo, r.optEval, nil
 }
 
 func (r *runner) buildPool(label string, cfg bench.Config) (*bench.Pool, error) {

@@ -102,32 +102,45 @@ func main() {
 }
 
 // setupObs builds the optional runtime-carrying context for the run; the
-// returned cleanup flushes the trace and stops the debug listener.
-func setupObs(ctx context.Context, debugAddr, tracePath string) (context.Context, func(), error) {
+// returned cleanup flushes the trace and stops the debug listener,
+// reporting the first failure — a trace that could not be written (full
+// disk) is lost data, not noise.
+func setupObs(ctx context.Context, debugAddr, tracePath string) (context.Context, func() error, error) {
+	noop := func() error { return nil }
 	if debugAddr == "" && tracePath == "" {
-		return ctx, func() {}, nil
+		return ctx, noop, nil
 	}
-	var cleanups []func()
-	cleanup := func() {
+	var cleanups []func() error
+	cleanup := func() error {
+		var first error
 		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
+			if err := cleanups[i](); err != nil && first == nil {
+				first = err
+			}
 		}
+		return first
 	}
 	var opts []obs.Option
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
-			return ctx, func() {}, err
+			return ctx, noop, err
 		}
 		bw := bufio.NewWriter(f)
 		tracer := obs.NewWriterTracer(bw)
 		opts = append(opts, obs.WithTracer(tracer))
-		cleanups = append(cleanups, func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "dfs: trace:", err)
+		cleanups = append(cleanups, func() error {
+			err := tracer.Err()
+			if ferr := bw.Flush(); err == nil {
+				err = ferr
 			}
-			bw.Flush()
-			f.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return fmt.Errorf("trace %s: %w", tracePath, err)
+			}
+			return nil
 		})
 	}
 	rt := obs.New(opts...)
@@ -135,18 +148,21 @@ func setupObs(ctx context.Context, debugAddr, tracePath string) (context.Context
 	if debugAddr != "" {
 		srv, err := obs.StartDebug(debugAddr, rt)
 		if err != nil {
-			cleanup()
-			return ctx, func() {}, err
+			if cerr := cleanup(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "dfs:", cerr)
+			}
+			return ctx, noop, err
 		}
 		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics)\n", srv.Addr())
-		cleanups = append(cleanups, func() { srv.Close() })
+		cleanups = append(cleanups, srv.Close)
 	}
 	return ctx, cleanup, nil
 }
 
-func run(specPath, debugAddr, tracePath string) error {
+// run executes the spec at specPath and prints the selection as JSON. A
+// trace that could not be written fails the run like any other error.
+func run(specPath, debugAddr, tracePath string) (err error) {
 	var raw []byte
-	var err error
 	if specPath == "-" {
 		raw, err = io.ReadAll(os.Stdin)
 	} else {
@@ -206,7 +222,11 @@ func run(specPath, debugAddr, tracePath string) error {
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer func() {
+		if cerr := cleanup(); err == nil {
+			err = cerr
+		}
+	}()
 	sel, err := dfs.SelectContext(ctx, d, kind, cs, opts...)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	dfs "github.com/declarative-fs/dfs"
@@ -135,5 +136,17 @@ func TestRunIgnoresRetiredSpecKey(t *testing.T) {
 	got := runOutput(t, filepath.Join("testdata", "spec-retired-key.json"))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("spec with a retired key printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestRunFailsOnUnwritableTrace: a trace that cannot be flushed (here a
+// full device) fails the run instead of exiting 0 with the trace lost.
+func TestRunFailsOnUnwritableTrace(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	err := run(filepath.Join("testdata", "spec.json"), "", "/dev/full")
+	if err == nil || !strings.Contains(err.Error(), "trace /dev/full") {
+		t.Fatalf("run with an unwritable trace returned %v, want a trace error", err)
 	}
 }

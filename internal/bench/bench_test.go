@@ -147,10 +147,11 @@ func TestEvaluateOptimizerCoversAllRecords(t *testing.T) {
 
 func TestTable3Structure(t *testing.T) {
 	p := getSharedPool(t)
-	res, err := Table3(p, p, 5)
+	eval, err := EvaluateOptimizer(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := Table3(p, p, eval)
 	// Original + 16 strategies + optimizer + oracle.
 	if len(res.Rows) != 19 {
 		t.Fatalf("rows %d, want 19", len(res.Rows))

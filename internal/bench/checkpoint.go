@@ -35,7 +35,7 @@ type checkpointHeader struct {
 }
 
 // EncodeCheckpointHeader renders the one-line checkpoint header for cfg
-// (defaulted, exactly as CreateCheckpoint writes it), newline-terminated.
+// (defaulted), newline-terminated: the first line CreateCheckpoint writes.
 // The serving layer uses it to open a checkpoint-format NDJSON stream over
 // HTTP without a file behind it.
 func EncodeCheckpointHeader(cfg Config) ([]byte, error) {
@@ -52,27 +52,30 @@ func EncodeCheckpointHeader(cfg Config) ([]byte, error) {
 
 // DecodeCheckpointHeader parses one header line (as produced by
 // EncodeCheckpointHeader or found at the top of a checkpoint file),
-// rejecting foreign magics and versions.
+// rejecting foreign magics and versions. Its errors name no source; the
+// caller adds the file or stream the line came from.
 func DecodeCheckpointHeader(line []byte) (Config, error) {
 	var hdr checkpointHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return Config{}, fmt.Errorf("checkpoint: bad header: %w", err)
+		return Config{}, fmt.Errorf("bad checkpoint header: %w", err)
 	}
 	if hdr.Magic != checkpointMagic {
-		return Config{}, fmt.Errorf("checkpoint: not a pool checkpoint (magic %q)", hdr.Magic)
+		return Config{}, fmt.Errorf("not a pool checkpoint (magic %q)", hdr.Magic)
 	}
 	if hdr.Version != checkpointVersion {
-		return Config{}, fmt.Errorf("checkpoint: header version %d, this build reads %d", hdr.Version, checkpointVersion)
+		return Config{}, fmt.Errorf("checkpoint version %d, this build reads %d", hdr.Version, checkpointVersion)
 	}
 	return hdr.Config, nil
 }
 
-// identityMismatch explains the first semantic difference between the
-// config a checkpoint was written under and the config trying to use it.
-// Workers, Label, and NoEvalSharing are excluded: they change scheduling
-// and physical work sharing, never the records (TestPoolSharingDeterminism
-// pins that), so a resume may legally change them.
-func identityMismatch(have, want Config, compareShard bool) error {
+// IdentityMismatch explains the first semantic difference between the
+// config a checkpoint was written under and the config trying to use it,
+// or returns nil when both describe the same records. Workers, Label, and
+// NoEvalSharing are excluded: they change scheduling and physical work
+// sharing, never the records (TestPoolSharingDeterminism pins that), so a
+// resume may legally change them. compareShard also requires the same
+// shard; merging shard files leaves it false.
+func IdentityMismatch(have, want Config, compareShard bool) error {
 	have, want = have.withDefaults(), want.withDefaults()
 	switch {
 	case have.Scenarios != want.Scenarios:
@@ -166,8 +169,8 @@ func (w *CheckpointWriter) latchLocked(err error) error {
 // exactly the failure checkpointing exists to prevent; resume it or remove
 // it explicitly.
 func CreateCheckpoint(path string, cfg Config) (*CheckpointWriter, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Shard.Validate(); err != nil {
+	hdr, err := EncodeCheckpointHeader(cfg)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -177,13 +180,7 @@ func CreateCheckpoint(path string, cfg Config) (*CheckpointWriter, error) {
 		}
 		return nil, err
 	}
-	w := &CheckpointWriter{f: f, path: path}
-	hdr, err := json.Marshal(checkpointHeader{Magic: checkpointMagic, Version: checkpointVersion, Config: cfg})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: encode header: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint: write header: %w", err)
 	}
@@ -191,7 +188,7 @@ func CreateCheckpoint(path string, cfg Config) (*CheckpointWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint: sync header: %w", err)
 	}
-	return w, nil
+	return &CheckpointWriter{f: f, path: path}, nil
 }
 
 // ResumeCheckpoint opens the checkpoint at path for cfg, returning a writer
@@ -215,11 +212,11 @@ func ResumeCheckpoint(path string, cfg Config) (*CheckpointWriter, []Record, err
 	if err != nil {
 		return nil, nil, err
 	}
-	hdr, records, goodLen, err := parseCheckpoint(path, data)
+	have, records, goodLen, err := parseCheckpoint(path, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := identityMismatch(hdr.Config, cfg, true); err != nil {
+	if err := IdentityMismatch(have, cfg, true); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %s was written under a different config (%v); refusing to resume", path, err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
@@ -247,36 +244,27 @@ func ReadCheckpoint(path string) (Config, []Record, error) {
 	if err != nil {
 		return Config{}, nil, err
 	}
-	hdr, records, _, err := parseCheckpoint(path, data)
-	if err != nil {
-		return Config{}, nil, err
-	}
-	return hdr.Config, records, nil
+	cfg, records, _, err := parseCheckpoint(path, data)
+	return cfg, records, err
 }
 
-// parseCheckpoint decodes a checkpoint file body: the header, the intact
-// records (deduplicated by ID, sorted), and the byte length of the intact
-// prefix. Only the final line may be torn — Append writes line+newline in
-// one call and fsyncs, so a crash leaves at most one partial line at the
-// tail; an unparseable line anywhere else is corruption and errors out.
-// Duplicate IDs keep the first occurrence; a duplicate that disagrees with
-// the first is corruption too.
-func parseCheckpoint(path string, data []byte) (checkpointHeader, []Record, int, error) {
-	var hdr checkpointHeader
+// parseCheckpoint decodes a checkpoint file body: the header's config, the
+// intact records (deduplicated by ID, sorted), and the byte length of the
+// intact prefix. Only the final line may be torn — Append writes
+// line+newline in one call and fsyncs, so a crash leaves at most one
+// partial line at the tail; an unparseable line anywhere else is
+// corruption and errors out. Duplicate IDs keep the first occurrence; a
+// duplicate that disagrees with the first is corruption too.
+func parseCheckpoint(path string, data []byte) (Config, []Record, int, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return hdr, nil, 0, fmt.Errorf("checkpoint: %s has no intact header line", path)
+		return Config{}, nil, 0, fmt.Errorf("checkpoint: %s has no intact header line", path)
 	}
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return hdr, nil, 0, fmt.Errorf("checkpoint: %s: bad header: %w", path, err)
+	hcfg, err := DecodeCheckpointHeader(data[:nl])
+	if err != nil {
+		return Config{}, nil, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
-	if hdr.Magic != checkpointMagic {
-		return hdr, nil, 0, fmt.Errorf("checkpoint: %s is not a pool checkpoint (magic %q)", path, hdr.Magic)
-	}
-	if hdr.Version != checkpointVersion {
-		return hdr, nil, 0, fmt.Errorf("checkpoint: %s has version %d, this build reads %d", path, hdr.Version, checkpointVersion)
-	}
-	cfg := hdr.Config.withDefaults()
+	cfg := hcfg.withDefaults()
 	seen := make(map[int]Record)
 	var records []Record
 	goodLen := nl + 1
@@ -296,17 +284,17 @@ func parseCheckpoint(path string, data []byte) (checkpointHeader, []Record, int,
 				// fsync completed). Drop it like an unterminated tail.
 				break
 			}
-			return hdr, nil, 0, fmt.Errorf("checkpoint: %s: corrupt record line before the tail: %w", path, err)
+			return Config{}, nil, 0, fmt.Errorf("checkpoint: %s: corrupt record line before the tail: %w", path, err)
 		}
 		if rec.ID < 0 || rec.ID >= cfg.Scenarios {
-			return hdr, nil, 0, fmt.Errorf("checkpoint: %s: scenario ID %d outside [0,%d)", path, rec.ID, cfg.Scenarios)
+			return Config{}, nil, 0, fmt.Errorf("checkpoint: %s: scenario ID %d outside [0,%d)", path, rec.ID, cfg.Scenarios)
 		}
 		if !cfg.Shard.Contains(rec.ID) {
-			return hdr, nil, 0, fmt.Errorf("checkpoint: %s: scenario %d does not belong to shard %s", path, rec.ID, cfg.Shard)
+			return Config{}, nil, 0, fmt.Errorf("checkpoint: %s: scenario %d does not belong to shard %s", path, rec.ID, cfg.Shard)
 		}
 		if prev, ok := seen[rec.ID]; ok {
 			if !reflect.DeepEqual(prev, rec) {
-				return hdr, nil, 0, fmt.Errorf("checkpoint: %s: scenario %d appears twice with different content", path, rec.ID)
+				return Config{}, nil, 0, fmt.Errorf("checkpoint: %s: scenario %d appears twice with different content", path, rec.ID)
 			}
 			// Identical duplicate (e.g. a resume replayed an append after a
 			// partially-observed crash): keep the first, advance past it.
@@ -318,7 +306,7 @@ func parseCheckpoint(path string, data []byte) (checkpointHeader, []Record, int,
 		goodLen += nl + 1
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].ID < records[j].ID })
-	return hdr, records, goodLen, nil
+	return hcfg, records, goodLen, nil
 }
 
 // ResumePool resumes a checkpointed run end-to-end: load the checkpoint at
@@ -361,7 +349,7 @@ func MergeShards(paths ...string) (*Pool, error) {
 		if i == 0 {
 			base = cfg.withDefaults()
 			base.Shard = ShardSpec{}
-		} else if err := identityMismatch(cfg, base, false); err != nil {
+		} else if err := IdentityMismatch(cfg, base, false); err != nil {
 			return nil, fmt.Errorf("checkpoint: %s does not belong to the same pool as %s (%v)", path, paths[0], err)
 		}
 		for _, rec := range records {

@@ -28,12 +28,9 @@ type Table3Result struct {
 }
 
 // Table3 computes the table from a default-parameter pool and an HPO pool.
-// The optimizer is evaluated on the HPO pool only, as in the paper.
-func Table3(defaultPool, hpoPool *Pool, seed uint64) (*Table3Result, error) {
-	eval, err := EvaluateOptimizer(hpoPool, seed)
-	if err != nil {
-		return nil, err
-	}
+// The optimizer row reads eval, the optimizer's evaluation on the HPO pool
+// only (EvaluateOptimizer), as in the paper.
+func Table3(defaultPool, hpoPool *Pool, eval *OptimizerEval) *Table3Result {
 	res := &Table3Result{}
 	names := append([]string{core.OriginalFeaturesName}, core.StrategyNames...)
 	for _, s := range names {
@@ -57,7 +54,7 @@ func Table3(defaultPool, hpoPool *Pool, seed uint64) (*Table3Result, error) {
 		HPOFastest:      MeanStd{Mean: 1, N: 1},
 		HPOCoverage:     MeanStd{Mean: 1, N: 1},
 	})
-	return res, nil
+	return res
 }
 
 // Render formats the table as aligned text.

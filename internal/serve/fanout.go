@@ -581,7 +581,8 @@ const maxStreamLine = 16 << 20
 // transport or framing error, no trailer, or a read idle for several
 // keepalive beats (the watchdog, so a wedged connection cannot hang the
 // shard) — is transient: the caller re-attaches at next. A header for a
-// different pool, or a record outside the shard or behind the cursor, is
+// different pool (any bench.IdentityMismatch against the job's config and
+// this shard), or a record outside the shard or behind the cursor, is
 // permanent.
 func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard bench.ShardSpec, from int) (n, next int, state State, err error) {
 	next = from
@@ -617,8 +618,10 @@ func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard benc
 	if err != nil {
 		return 0, next, "", broken(err)
 	}
-	if hcfg.Scenarios != r.cfg.Scenarios || hcfg.Seed != r.cfg.Seed {
-		return 0, next, "", fmt.Errorf("fanout: worker %s streams a checkpoint for a different pool (%d scenarios, seed %d)", worker, hcfg.Scenarios, hcfg.Seed)
+	want := r.cfg
+	want.Shard = shard
+	if err := bench.IdentityMismatch(hcfg, want, true); err != nil {
+		return 0, next, "", fmt.Errorf("fanout: worker %s streams a checkpoint for a different pool (%v)", worker, err)
 	}
 	for sc.Scan() {
 		watchdog.Reset(idle)

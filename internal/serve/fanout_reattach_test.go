@@ -4,7 +4,8 @@ package serve
 // proxy in front of a stub worker cuts followed checkpoint streams
 // mid-flight, and the coordinator must re-attach at its scenario cursor —
 // or, when attaches keep delivering nothing, requeue the shard — while the
-// merged CSV stays byte-identical to a single-worker run.
+// merged CSV stays byte-identical to a single-worker run. A second proxy
+// rewrites the streams' headers instead, which must fail the job.
 
 import (
 	"bufio"
@@ -204,4 +205,49 @@ func TestFanoutReattach(t *testing.T) {
 			t.Fatalf("job failed with %q, want a behind-cursor stream error", final.Error)
 		}
 	})
+}
+
+// TestFanoutRejectsForeignHeader puts a proxy in front of a stub worker
+// that turns every followed header's MaxEvals 8 into 9: the stream of a
+// worker that, restarted on an empty data directory, reissued the job ID
+// the coordinator re-attaches to under another spec. Same scenarios and
+// seed, other records, so the job must fail permanently, naming the
+// mismatch, instead of merging them.
+func TestFanoutRejectsForeignHeader(t *testing.T) {
+	spec := JobSpec{Scenarios: 8, Seed: 7, MaxEvals: 8, Datasets: []string{"COMPAS"}}
+	_, workerURL := newStubWorker(t, time.Millisecond)
+	target, err := url.Parse(workerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	rp.ErrorLog = log.New(io.Discard, "", 0)
+	rp.ModifyResponse = func(resp *http.Response) error {
+		if resp.StatusCode != http.StatusOK || !strings.HasSuffix(resp.Request.URL.Path, "/checkpoint") {
+			return nil
+		}
+		br := bufio.NewReader(resp.Body)
+		hdr, err := br.ReadBytes('\n')
+		if err != nil {
+			return err
+		}
+		hdr = bytes.Replace(hdr, []byte(`"MaxEvals":8,`), []byte(`"MaxEvals":9,`), 1)
+		resp.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(hdr), br), resp.Body}
+		return nil
+	}
+	proxy := httptest.NewServer(rp)
+	t.Cleanup(proxy.Close)
+
+	_, coordURL := newCoordinator(t, proxy.URL)
+	code, st, eb, _ := postJob(t, coordURL, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d (%s)", code, eb.Error)
+	}
+	final := awaitState(t, coordURL, st.ID, StateFailed)
+	if !strings.Contains(final.Error, "different pool (max evals 9 vs 8)") {
+		t.Fatalf("job failed with %q, want a different-pool error naming max evals", final.Error)
+	}
 }
