@@ -188,21 +188,38 @@ func TestSelectContextMatchesSelect(t *testing.T) {
 	}
 }
 
+// TestPortfolioDeterministicAcrossRuns pins that a portfolio is a pure
+// function of its inputs: the same call twice, and the same call with and
+// without evaluation sharing, return deeply equal selections. The sharing
+// case declares privacy and safety, so the DP-noise and attack paths run.
 func TestPortfolioDeterministicAcrossRuns(t *testing.T) {
 	d, err := GenerateBuiltin("COMPAS", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunPortfolio(d, LR, easyCS(), nil, WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPortfolio(d, LR, easyCS(), nil, WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("portfolio not deterministic:\n%+v\n%+v", a, b)
+	for _, tc := range []struct {
+		name   string
+		cs     Constraints
+		second []Option // options of the second call beyond the seed
+	}{
+		{"same call twice", easyCS(), nil},
+		{"evaluation sharing off",
+			Constraints{MinF1: 0.5, MaxSearchCost: 5000, MaxFeatureFrac: 1, MinSafety: 0.5, PrivacyEps: 5},
+			[]Option{WithoutEvaluationSharing()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := RunPortfolio(d, LR, tc.cs, nil, WithSeed(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunPortfolio(d, LR, tc.cs, nil, append([]Option{WithSeed(13)}, tc.second...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("portfolio not deterministic:\n%+v\n%+v", a, b)
+			}
+		})
 	}
 }
 

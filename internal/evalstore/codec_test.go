@@ -80,7 +80,7 @@ func reopenSegment(t *testing.T, dir string, data []byte) (map[Key]Result, Stats
 	if err := os.WriteFile(sealed, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{CompactAt: -1})
+	s, err := Open(dir, Options{compactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStoreV1SegmentSkipped(t *testing.T) {
 	if err := os.WriteFile(v1, []byte(v1Segment), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := openT(t, dir, Options{CompactAt: -1})
+	s := openT(t, dir, Options{compactAt: -1})
 	if st := s.Stats(); st.Entries != 0 || st.Segments != 1 || st.CorruptLines != 1 {
 		t.Fatalf("v1 segment must be skipped whole and counted once: %s", st)
 	}
@@ -181,7 +181,7 @@ func TestStoreV1SegmentSkipped(t *testing.T) {
 		t.Fatalf("new segment header: %q", own[:min(len(own), 40)])
 	}
 
-	r := openT(t, dir, Options{CompactAt: 2})
+	r := openT(t, dir, Options{compactAt: 2})
 	if st := r.Stats(); st.Compactions != 1 || st.Entries != 1 {
 		t.Fatalf("want one compaction keeping the v2 entry: %s", st)
 	}

@@ -88,9 +88,10 @@ type Options struct {
 	// .segment_bytes), alongside the evaluator-side
 	// evalstore.lookups/hits_mem/hits_disk/misses family.
 	Metrics *obs.Registry
-	// CompactAt overrides the sealed-segment count that triggers compaction
-	// at Open (0 = default; negative disables compaction).
-	CompactAt int
+
+	// Test seam: compactAt overrides the sealed-segment count that triggers
+	// compaction at Open (0 = defaultCompactAt; negative disables it).
+	compactAt int
 }
 
 // Stats is a point-in-time snapshot of one Store's activity since Open.
@@ -177,7 +178,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.segsLoaded = len(segs)
 
-	compactAt := opts.CompactAt
+	compactAt := opts.compactAt
 	if compactAt == 0 {
 		compactAt = defaultCompactAt
 	}

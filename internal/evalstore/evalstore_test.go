@@ -218,7 +218,7 @@ func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	const writers = 4
 	for w := 0; w < writers; w++ {
-		s := openT(t, dir, Options{CompactAt: -1})
+		s := openT(t, dir, Options{compactAt: -1})
 		for i := 0; i < 5; i++ {
 			s.Put(testKey(w*5+i), testResult(w*5+i))
 		}
@@ -230,7 +230,7 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatalf("want %d sealed segments before compaction, have %d", writers, n)
 	}
 
-	s := openT(t, dir, Options{CompactAt: 2})
+	s := openT(t, dir, Options{compactAt: 2})
 	st := s.Stats()
 	if st.Compactions != 1 {
 		t.Fatalf("compaction did not run: %s", st)
@@ -251,7 +251,7 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The merged segment survives another cold open.
-	r := openT(t, dir, Options{CompactAt: -1})
+	r := openT(t, dir, Options{compactAt: -1})
 	if st := r.Stats(); st.Entries != writers*5 {
 		t.Fatalf("reopen after compaction: %s", st)
 	}
@@ -263,13 +263,13 @@ func TestStoreCompaction(t *testing.T) {
 func TestStoreCompactionSparesLiveSegments(t *testing.T) {
 	dir := t.TempDir()
 	for w := 0; w < 2; w++ {
-		s := openT(t, dir, Options{CompactAt: -1})
+		s := openT(t, dir, Options{compactAt: -1})
 		s.Put(testKey(w), testResult(w))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	live := openT(t, dir, Options{CompactAt: -1})
+	live := openT(t, dir, Options{compactAt: -1})
 	live.Put(testKey(10), testResult(10))
 	if err := live.Flush(); err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestStoreCompactionSparesLiveSegments(t *testing.T) {
 
 	// This open sees 3 segments (2 sealed + 1 live) and compacts only the
 	// sealed pair.
-	s := openT(t, dir, Options{CompactAt: 2})
+	s := openT(t, dir, Options{compactAt: 2})
 	if st := s.Stats(); st.Compactions != 1 || st.Entries != 3 {
 		t.Fatalf("want 1 compaction over 3 entries: %s", st)
 	}
@@ -289,7 +289,7 @@ func TestStoreCompactionSparesLiveSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openT(t, dir, Options{CompactAt: -1})
+	r := openT(t, dir, Options{compactAt: -1})
 	for _, i := range []int{0, 1, 10, 11} {
 		if _, ok := r.Lookup(testKey(i)); !ok {
 			t.Fatalf("key %d lost around compaction", i)
@@ -309,7 +309,7 @@ func TestStoreCompactionConcurrentReaders(t *testing.T) {
 	const writers, perWriter = 10, 8
 	const total = writers * perWriter
 	for w := 0; w < writers; w++ {
-		s, err := Open(dir, Options{CompactAt: -1})
+		s, err := Open(dir, Options{compactAt: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,9 +328,9 @@ func TestStoreCompactionConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			opts := Options{CompactAt: -1}
+			opts := Options{compactAt: -1}
 			if g%2 == 0 {
-				opts.CompactAt = 2
+				opts.compactAt = 2
 			}
 			s, err := Open(dir, opts)
 			if err != nil {
@@ -353,7 +353,7 @@ func TestStoreCompactionConcurrentReaders(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles, a cold open still holds the full set.
-	r := openT(t, dir, Options{CompactAt: -1})
+	r := openT(t, dir, Options{compactAt: -1})
 	if st := r.Stats(); st.Entries != total {
 		t.Fatalf("final reopen: %s, want %d entries", st, total)
 	}

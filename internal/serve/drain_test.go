@@ -165,3 +165,68 @@ func TestDaemonResumeBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainEndsQueuedJobStreams pins that a drain ends the followed streams
+// of a job it will never run, also when the Handler is mounted on a
+// listener the caller owns (Drain then closes no connection): the result
+// and checkpoint streams of a job still queued end with its state in the
+// trailer, instead of waiting (the checkpoint stream sending keepalives)
+// until the client gives up.
+func TestDrainEndsQueuedJobStreams(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1,
+		BuildPool: func(ctx context.Context, cfg bench.Config, _ bench.RunOptions) (*bench.Pool, error) {
+			<-ctx.Done()
+			return &bench.Pool{Config: cfg, Interrupted: true}, nil
+		}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, running, _, _ := postJob(t, ts.URL, streamSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	awaitState(t, ts.URL, running.ID, StateRunning)
+	code, queued, _, _ := postJob(t, ts.URL, streamSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+
+	// Bounded so that a stream the drain leaves open fails the test instead
+	// of hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	type ended struct {
+		path, state string
+		err         error
+	}
+	results := make(chan ended, 2)
+	for _, path := range []string{"/result?follow=1", "/checkpoint?follow=1"} {
+		resp, err := client.Get(ts.URL + "/jobs/" + queued.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: code %d", path, resp.StatusCode)
+		}
+		go func() {
+			_, err := io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			results <- ended{path, resp.Trailer.Get(trailerJobState), err}
+		}()
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		e := <-results
+		if e.err != nil {
+			t.Fatalf("%s of the queued job did not end at drain: %v", e.path, e.err)
+		}
+		if e.state != string(StateQueued) {
+			t.Fatalf("%s ended with %s = %q, want %q", e.path, trailerJobState, e.state, StateQueued)
+		}
+	}
+	if j, _ := srv.Job(running.ID); j.State() != StateDrained {
+		t.Fatalf("running job %s is %s after the drain, want %s", running.ID, j.State(), StateDrained)
+	}
+	checkInvariant(t, srv)
+}

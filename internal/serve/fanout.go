@@ -21,15 +21,14 @@ package serve
 // fleet's aggregate speed instead of its slowest member. Micro-shard
 // membership depends only on the spec (scenario i % count == index), never
 // on observed speed, so the partition is deterministic and a retried shard
-// is byte-identical wherever it lands. Observed per-worker throughput
-// (records/sec EWMA) sizes later claims — a worker measuring at or above
-// the fleet mean pipelines two shards at once while the backlog lasts — and
-// orders the retry rotation: a requeued shard is never handed straight back
-// to the worker that just failed it, and measurably slow workers defer
-// retries to faster peers. A /healthz probe gates every claim, so dispatch
-// only targets live, serving workers; a worker that fails pollFailLimit
-// consecutive probes retires from this attempt (the server's job-level
-// retry re-probes it later).
+// is byte-identical wherever it lands. One rule sizes a claim: a worker
+// takes two shards while the backlog exceeds the fleet size, so it submits
+// its next shard while the previous one streams, and one shard after that.
+// A requeued shard is never handed straight back to the worker that just
+// failed it while a shard it did not fail is pending. A /healthz probe
+// gates every claim, so dispatch only targets live, serving workers; a
+// worker that fails pollFailLimit consecutive probes retires from this
+// attempt (the server's job-level retry re-probes it later).
 //
 // Results stream *through* the coordinator while shards run, and the
 // worker's GET /jobs/{id}/checkpoint?follow=1 NDJSON stream is the only
@@ -40,11 +39,11 @@ package serve
 // scenario ID, so no record crosses the wire twice.
 //
 // Failure semantics per shard: transport errors, 429/503 rejections, a
-// worker job ending drained, a run of failed health probes, or
-// pollFailLimit consecutive follow attaches that deliver no record are
-// transient — the shard requeues at the front and the next live worker
-// picks it up, while the failing worker backs off under the coordinator's
-// RetryPolicy. A 400 rejection, a worker job ending failed, a stream for a
+// worker job ending drained (or still queued when its worker drained), a
+// run of failed health probes, or pollFailLimit consecutive follow attaches
+// that deliver no record are transient — the shard requeues at the front
+// and the next live worker picks it up, while the failing worker backs off
+// under the coordinator's RetryPolicy. A 400 rejection, a worker job ending failed, a stream for a
 // different pool, or a record outside the shard or behind the cursor is
 // permanent and fails the whole job with the worker's typed reason.
 // Records land in the coordinator's own checkpoint as they stream, so a
@@ -170,7 +169,6 @@ func (f *Fanout) BuildPool(ctx context.Context, cfg bench.Config, opts bench.Run
 		attempts: make(map[int]int),
 		last:     make(map[int]string),
 		inflight: make(map[int]bool),
-		rates:    make(map[string]*obs.RateEWMA, len(f.Workers)),
 	}
 	done := make(map[int]bench.Record, len(opts.Resume))
 	for _, rec := range opts.Resume {
@@ -222,26 +220,24 @@ func (f *Fanout) BuildPool(ctx context.Context, cfg bench.Config, opts bench.Run
 }
 
 // fanoutJob is the mutable state of one BuildPool call: the micro-shard
-// queue, the merge map, per-worker throughput, and failure latches.
+// queue, the merge map, and failure latches.
 type fanoutJob struct {
 	f      *Fanout
 	cfg    bench.Config
 	sink   bench.RecordSink
 	count  int // micro-shard count
 	cancel context.CancelFunc
-	obs    *fanoutObs
+	obs    fanoutObs
 
-	mu        sync.Mutex
-	merged    map[int]bench.Record
-	pending   []int          // shard indexes awaiting a worker; retries at the front
-	attempts  map[int]int    // per-shard failed attempts
-	last      map[int]string // worker that last failed each shard
-	inflight  map[int]bool
-	liveLoops int
-	permErr   error // first permanent failure; fails the whole job
-	lastErr   error // latest transient failure, reported if the job stalls
-	notify    chan struct{}
-	rates     map[string]*obs.RateEWMA
+	mu       sync.Mutex
+	merged   map[int]bench.Record
+	pending  []int          // shard indexes awaiting a worker; retries at the front
+	attempts map[int]int    // per-shard failed attempts
+	last     map[int]string // worker that last failed each shard
+	inflight map[int]bool
+	permErr  error // first permanent failure; fails the whole job
+	lastErr  error // latest transient failure, reported if the job stalls
+	notify   chan struct{}
 }
 
 // notifyLocked wakes every wait()er. Callers hold r.mu.
@@ -278,35 +274,12 @@ func (r *fanoutJob) finished() bool {
 	return r.permErr != nil || (len(r.pending) == 0 && len(r.inflight) == 0)
 }
 
-// meanRateLocked averages the workers with an observed rate (0 if none).
-func (r *fanoutJob) meanRateLocked() float64 {
-	sum, n := 0.0, 0
-	for _, e := range r.rates {
-		if v := e.Rate(); v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-func (r *fanoutJob) maxRateLocked() float64 {
-	m := 0.0
-	for _, e := range r.rates {
-		if v := e.Rate(); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// claim pops up to one shard — two for a worker measuring at or above the
-// fleet-mean throughput while the backlog exceeds the fleet size, so fast
-// workers pipeline (submit the next shard while the previous streams) and
-// effectively take larger slices. Returns nil when nothing is claimable.
+// claim pops one shard, or two while the backlog exceeds the fleet size, so
+// a worker pipelines (submits its next shard while the previous one
+// streams) until the queue is down to a shard per worker. A shard this
+// worker failed last is skipped while a shard it did not fail is pending,
+// so a retry goes to a peer when one can take it. Returns nil when nothing
+// is claimable.
 func (r *fanoutJob) claim(worker string) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -314,34 +287,28 @@ func (r *fanoutJob) claim(worker string) []int {
 		return nil
 	}
 	take := 1
-	rate := 0.0
-	if e := r.rates[worker]; e != nil {
-		rate = e.Rate()
-	}
-	if mean := r.meanRateLocked(); rate > 0 && rate >= mean && len(r.pending) > len(r.f.Workers) {
+	if len(r.pending) > len(r.f.Workers) {
 		take = 2
 	}
-	slow := rate > 0 && rate < 0.5*r.maxRateLocked()
 	var out []int
-	for i := 0; i < len(r.pending) && len(out) < take; {
-		sh := r.pending[i]
-		if len(r.pending) > 1 {
-			// Retry rotation: never hand a shard straight back to the worker
-			// that just failed it, and let measurably slow workers defer
-			// requeued shards to faster peers — both only when there is an
-			// alternative shard to take instead.
-			if r.last[sh] == worker || (slow && r.attempts[sh] > 0 && r.liveLoops > 1) {
-				i++
-				continue
-			}
+	rest := r.pending[:0]
+	for _, sh := range r.pending {
+		if len(out) < take && r.last[sh] != worker {
+			out = append(out, sh)
+		} else {
+			rest = append(rest, sh)
 		}
-		r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	}
+	r.pending = rest
+	if len(out) == 0 {
+		// Every pending shard is one this worker failed last: retrying it
+		// here beats stalling the job until a peer turns up.
+		out, r.pending = []int{r.pending[0]}, r.pending[1:]
+	}
+	for _, sh := range out {
 		r.inflight[sh] = true
-		out = append(out, sh)
 	}
-	if len(out) > 0 {
-		r.obs.dispatched(len(out))
-	}
+	r.obs.dispatched.Add(int64(len(out)))
 	return out
 }
 
@@ -361,26 +328,18 @@ func (r *fanoutJob) deliver(rec bench.Record) {
 		rec := rec
 		_ = r.sink.Append(&rec)
 	}
-	r.obs.recordStreamed()
+	r.obs.streamed.Inc()
 }
 
-// finish marks a shard merged and folds its throughput into the worker's
-// EWMA.
+// finish marks a shard merged.
 func (r *fanoutJob) finish(idx int, worker string, n int, elapsed time.Duration) {
 	r.mu.Lock()
 	delete(r.inflight, idx)
-	e := r.rates[worker]
-	if e == nil {
-		e = obs.NewRateEWMA(0)
-		r.rates[worker] = e
-	}
-	e.Observe(float64(n), elapsed)
-	ewma := e.Rate()
 	r.notifyLocked()
 	r.mu.Unlock()
-	r.obs.completed()
-	r.f.logf("fanout: shard %d/%d complete on %s (%d records, %.1f rec/s, ewma %.1f rec/s)",
-		idx, r.count, worker, n, float64(n)/elapsed.Seconds(), ewma)
+	r.obs.completed.Inc()
+	r.f.logf("fanout: shard %d/%d complete on %s (%d records, %.1f rec/s)",
+		idx, r.count, worker, n, float64(n)/elapsed.Seconds())
 }
 
 // fail records a shard attempt's failure: permanent errors latch and cancel
@@ -408,7 +367,7 @@ func (r *fanoutJob) fail(idx int, worker string, err error) {
 		return
 	}
 	r.pending = append([]int{idx}, r.pending...)
-	r.obs.requeued()
+	r.obs.requeued.Inc()
 }
 
 // workerLoop pulls shards for one worker until the job finishes, the worker
@@ -416,15 +375,6 @@ func (r *fanoutJob) fail(idx int, worker string, err error) {
 // context ends. A failed batch backs the worker off under the retry policy
 // so a flapping worker cannot spin the queue.
 func (r *fanoutJob) workerLoop(ctx context.Context, worker string) {
-	r.mu.Lock()
-	r.liveLoops++
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.liveLoops--
-		r.notifyLocked()
-		r.mu.Unlock()
-	}()
 	probeFails, backoff := 0, 0
 	for ctx.Err() == nil {
 		if r.finished() {
@@ -432,7 +382,7 @@ func (r *fanoutJob) workerLoop(ctx context.Context, worker string) {
 		}
 		if !r.f.probeHealthy(ctx, worker) {
 			probeFails++
-			r.obs.probeFailed()
+			r.obs.probeFails.Inc()
 			if probeFails >= pollFailLimit {
 				r.f.logf("fanout: worker %s failed %d consecutive health probes; retiring for this attempt", worker, probeFails)
 				return
@@ -534,7 +484,7 @@ func (r *fanoutJob) runShardOn(ctx context.Context, worker string, shard bench.S
 				return 0, ctx.Err()
 			}
 		}
-		r.obs.reattached()
+		r.obs.reattached.Inc()
 		r.f.logf("fanout: shard %s stream on %s broke (%v); re-attaching at scenario %d", shard, worker, cause, next)
 	}
 	if st.State == StateDone {
@@ -551,18 +501,20 @@ func (r *fanoutJob) runShardOn(ctx context.Context, worker string, shard bench.S
 	return 0, shardStateError(worker, st)
 }
 
-// shardStateError maps a terminal worker-job state onto the shard's failure
-// semantics: drained is transient (the work recomputes elsewhere), failed is
+// shardStateError maps the state a worker job's stream ended in onto the
+// shard's failure semantics: drained, or still queued when the worker
+// drained, is transient (the work recomputes elsewhere), failed is
 // permanent with the worker's typed reason.
 func shardStateError(worker string, st Status) error {
 	switch st.State {
 	case StateDone:
 		return nil
-	case StateDrained:
-		// The worker shut down mid-shard. Its checkpoint survives on its
-		// disk, but the cheapest cure is recomputation elsewhere —
-		// determinism makes the replacement records identical.
-		return &workerUnavailableError{worker: worker, err: fmt.Errorf("job %s drained", st.ID)}
+	case StateDrained, StateQueued:
+		// The worker shut down mid-shard or before it ran the shard. Its
+		// checkpoint survives on its disk, but the cheapest cure is
+		// recomputation elsewhere — determinism makes the replacement
+		// records identical.
+		return &workerUnavailableError{worker: worker, err: fmt.Errorf("job %s %s", st.ID, st.State)}
 	case StateFailed:
 		return fmt.Errorf("fanout: shard job %s failed on %s (%s): %s", st.ID, worker, st.FailureCategory, st.Error)
 	default:
@@ -782,61 +734,26 @@ func readError(r io.Reader) string {
 	return strings.TrimSpace(string(data))
 }
 
-// fanoutObs bundles the coordinator-side scheduling counters (registered on
-// the server's runtime via the build context). A nil *fanoutObs is the
-// disabled state; every method is nil-safe.
+// fanoutObs holds the coordinator-side scheduling counters, registered on
+// the server's runtime via the build context. Without a runtime every
+// handle is nil, and a nil *obs.Counter ignores Inc and Add.
 type fanoutObs struct {
-	mDispatched *obs.Counter // serve.fanout.shards_dispatched
-	mCompleted  *obs.Counter // serve.fanout.shards_completed
-	mRequeued   *obs.Counter // serve.fanout.shards_requeued
-	mStreamed   *obs.Counter // serve.fanout.records_streamed
-	mReattached *obs.Counter // serve.fanout.stream_fallbacks: follow re-attaches
-	mProbeFails *obs.Counter // serve.fanout.probe_failures
+	dispatched *obs.Counter // serve.fanout.shards_dispatched
+	completed  *obs.Counter // serve.fanout.shards_completed
+	requeued   *obs.Counter // serve.fanout.shards_requeued
+	streamed   *obs.Counter // serve.fanout.records_streamed
+	reattached *obs.Counter // serve.fanout.stream_fallbacks: follow re-attaches
+	probeFails *obs.Counter // serve.fanout.probe_failures
 }
 
-func newFanoutObs(ctx context.Context) *fanoutObs {
-	rt := obs.FromContext(ctx)
-	if rt == nil {
-		return nil
-	}
-	m := rt.Metrics()
-	return &fanoutObs{
-		mDispatched: m.Counter("serve.fanout.shards_dispatched"),
-		mCompleted:  m.Counter("serve.fanout.shards_completed"),
-		mRequeued:   m.Counter("serve.fanout.shards_requeued"),
-		mStreamed:   m.Counter("serve.fanout.records_streamed"),
-		mReattached: m.Counter("serve.fanout.stream_fallbacks"),
-		mProbeFails: m.Counter("serve.fanout.probe_failures"),
-	}
-}
-
-func (o *fanoutObs) dispatched(n int) {
-	if o != nil {
-		o.mDispatched.Add(int64(n))
-	}
-}
-func (o *fanoutObs) completed() {
-	if o != nil {
-		o.mCompleted.Inc()
-	}
-}
-func (o *fanoutObs) requeued() {
-	if o != nil {
-		o.mRequeued.Inc()
-	}
-}
-func (o *fanoutObs) recordStreamed() {
-	if o != nil {
-		o.mStreamed.Inc()
-	}
-}
-func (o *fanoutObs) reattached() {
-	if o != nil {
-		o.mReattached.Inc()
-	}
-}
-func (o *fanoutObs) probeFailed() {
-	if o != nil {
-		o.mProbeFails.Inc()
+func newFanoutObs(ctx context.Context) fanoutObs {
+	m := obs.FromContext(ctx).Metrics()
+	return fanoutObs{
+		dispatched: m.Counter("serve.fanout.shards_dispatched"),
+		completed:  m.Counter("serve.fanout.shards_completed"),
+		requeued:   m.Counter("serve.fanout.shards_requeued"),
+		streamed:   m.Counter("serve.fanout.records_streamed"),
+		reattached: m.Counter("serve.fanout.stream_fallbacks"),
+		probeFails: m.Counter("serve.fanout.probe_failures"),
 	}
 }

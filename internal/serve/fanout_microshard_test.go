@@ -11,10 +11,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,5 +209,94 @@ func TestFanoutWarmStoreSkips(t *testing.T) {
 	}
 	if warmSkipped != int64(spec.Scenarios) {
 		t.Fatalf("warm fleet skipped_durable = %d, want %d", warmSkipped, spec.Scenarios)
+	}
+}
+
+// TestFanoutClaimRule pins the one dispatch rule of the pull queue: a claim
+// takes one shard while the backlog is at most the fleet size and two while
+// it exceeds it, skips a shard this worker failed last while a shard it did
+// not fail is pending, and hands such a shard back when nothing else is
+// left, rather than stall the job.
+func TestFanoutClaimRule(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pending    []int
+		last       map[int]string
+		want, left []int
+	}{
+		{"backlog at fleet size takes one", []int{0, 1}, nil, []int{0}, []int{1}},
+		{"backlog over fleet size takes two", []int{0, 1, 2}, nil, []int{0, 1}, []int{2}},
+		{"own failure skipped while another is pending", []int{0, 1}, map[int]string{0: "a"}, []int{1}, []int{0}},
+		{"own failure skipped in a pipelined claim", []int{0, 1, 2}, map[int]string{0: "a"}, []int{1, 2}, []int{0}},
+		{"a peer's failure is not skipped", []int{0, 1}, map[int]string{0: "b"}, []int{0}, []int{1}},
+		{"own failure handed back when it is the only one left", []int{0}, map[int]string{0: "a"}, []int{0}, nil},
+		{"own failures only: the first handed back", []int{3, 5}, map[int]string{3: "a", 5: "a"}, []int{3}, []int{5}},
+		{"empty queue", nil, nil, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := obs.New()
+			r := &fanoutJob{
+				f:        &Fanout{Workers: []string{"a", "b"}},
+				obs:      newFanoutObs(obs.NewContext(context.Background(), rt)),
+				pending:  append([]int(nil), tc.pending...),
+				last:     tc.last,
+				inflight: make(map[int]bool),
+			}
+			got := r.claim("a")
+			if !slices.Equal(got, tc.want) || !slices.Equal(r.pending, tc.left) {
+				t.Fatalf("claim = %v leaving %v, want %v leaving %v", got, r.pending, tc.want, tc.left)
+			}
+			for _, sh := range got {
+				if !r.inflight[sh] {
+					t.Fatalf("claimed shard %d not marked in flight", sh)
+				}
+			}
+			if n := rt.Metrics().Snapshot().Counter("serve.fanout.shards_dispatched"); n != int64(len(tc.want)) {
+				t.Fatalf("serve.fanout.shards_dispatched = %d, want %d", n, len(tc.want))
+			}
+		})
+	}
+
+	r := &fanoutJob{f: &Fanout{Workers: []string{"a"}}, pending: []int{0}, inflight: make(map[int]bool),
+		permErr: errors.New("permanent")}
+	if got := r.claim("a"); got != nil {
+		t.Fatalf("claim after a permanent failure = %v, want nothing", got)
+	}
+}
+
+// TestFanoutLoneWorkerRetriesItsOwnFailures pins that the retry rotation
+// cannot stall a job: with its only peer dead, a worker whose first
+// (pipelined) claim of two shards both failed must take them back itself
+// once nothing else is pending, instead of waiting for a peer that never
+// comes.
+func TestFanoutLoneWorkerRetriesItsOwnFailures(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+
+	srv := newTestServer(t, Config{Workers: 2, BuildPool: stubBuilder(time.Millisecond)})
+	var submits atomic.Int32
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/jobs" && submits.Add(1) <= 2 {
+			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "queue full"})
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	fo := &Fanout{Workers: []string{deadURL, ts.URL}, Retry: fanoutRetry, poll: 20 * time.Millisecond, Logf: t.Logf}
+	cfg := bench.Config{Label: "lone", Scenarios: 4, Seed: 7, MaxEvals: 8, Datasets: []string{"COMPAS"}}
+	// Bounded so that a stalled queue fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	pool, err := fo.BuildPool(ctx, cfg, bench.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.Interrupted || len(pool.Records) != cfg.Scenarios {
+		t.Fatalf("merged %d/%d records (interrupted %v): the queue stalled on shards the lone worker failed",
+			len(pool.Records), cfg.Scenarios, pool.Interrupted)
 	}
 }

@@ -870,8 +870,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // get 503), cancel in-flight jobs — their completed scenarios are already
 // fsync'd in per-job checkpoints — wait for the workers to type every
 // in-flight job as drained, and persist all lifecycle files. Queued jobs
-// stay queued on disk; a restarted daemon re-enqueues both. ctx bounds the
-// wait. Drain is idempotent; concurrent calls wait for the first.
+// stay queued on disk; a restarted daemon re-enqueues both. Followed result
+// and checkpoint streams end with the drain: Start's listener closes their
+// connections, and on a listener the caller owns each ends with its job's
+// state in the trailer once Drain completes. ctx bounds the wait. Drain is
+// idempotent; concurrent calls wait for the first.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		select {

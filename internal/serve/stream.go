@@ -50,9 +50,10 @@ var checkpointKeepalive = 2 * time.Second
 
 // streamResult answers GET /jobs/{id}/result: a chunked CSV of completed
 // records emitted in scenario-ID order as they become available, ending
-// when the job reaches a terminal (or drained) state. The job state at
-// stream end is declared in the X-Dfs-Job-State trailer. On a done job it
-// writes the whole result at once, which is how the plain GET answers.
+// when the job reaches a terminal (or drained) state or the server drains.
+// The job state at stream end is declared in the X-Dfs-Job-State trailer.
+// On a done job it writes the whole result at once, which is how the plain
+// GET answers.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -94,12 +95,13 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) 
 			return // client went away
 		}
 		fl.Flush()
-		if state.terminal() || state == StateDrained {
+		if s.streamEnded(state) {
 			w.Header().Set(trailerJobState, string(state))
 			return
 		}
 		select {
 		case <-ch:
+		case <-s.drained:
 		case <-r.Context().Done():
 			return
 		}
@@ -111,11 +113,12 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) 
 // the completed job's raw checkpoint file (done jobs only); with ?follow=1
 // it streams the same format live — the header line first, then one record
 // line per completed scenario in contiguous scenario-ID order as they land,
-// blank-line keepalives while idle, ending with the job's state in the
-// X-Dfs-Job-State trailer. The followed stream is how the coordinator fills
-// its own checkpoint in record-sized steps while shards are still running;
-// &from=<scenario id> starts it at the first of the job's scenarios at or
-// past that ID, so a broken stream re-attaches where it left off.
+// blank-line keepalives while idle, ending (when the job does or the server
+// drains) with the job's state in the X-Dfs-Job-State trailer. The followed
+// stream is how the coordinator fills its own checkpoint in record-sized
+// steps while shards are still running; &from=<scenario id> starts it at
+// the first of the job's scenarios at or past that ID, so a broken stream
+// re-attaches where it left off.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -217,12 +220,13 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 			}
 		}
 		fl.Flush()
-		if state.terminal() || state == StateDrained {
+		if s.streamEnded(state) {
 			w.Header().Set(trailerJobState, string(state))
 			return
 		}
 		select {
 		case <-ch:
+		case <-s.drained:
 		case <-keep.C:
 			if _, err := w.Write([]byte("\n")); err != nil {
 				return
@@ -345,6 +349,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // endedState reports states after which an event stream has nothing left to
 // say (drained included: the job only moves again in a future process).
 func endedState(st State) bool { return st.terminal() || st == StateDrained }
+
+// streamEnded reports whether a followed stream of a job in state st has
+// nothing left to wait for: the job ended, or the server drained, after
+// which a job still queued also only moves in a future process.
+func (s *Server) streamEnded(st State) bool {
+	select {
+	case <-s.drained:
+		return true
+	default:
+		return endedState(st)
+	}
+}
 
 // sseBridge filters the span stream down to one job's tree and writes SSE
 // frames.
