@@ -27,9 +27,10 @@ type TaxonomyEntry struct {
 	NeedsFeatures, NeedsTarget, NeedsModel, NeedsPredictions bool
 }
 
-// Taxonomy returns the paper's Table 1. The rows drive documentation, the
-// evaluator's short-circuit pruning (evaluation-independent constraints are
-// checked before any training), and tests that pin the semantics.
+// Taxonomy returns the paper's Table 1, the semantics the checks in this
+// package implement, which TestTaxonomyMatchesTable1 pins. The evaluator
+// does not read it: its one check before any training, the feature-count
+// cap, goes through Set.HasFeatureCap.
 func Taxonomy() []TaxonomyEntry {
 	return []TaxonomyEntry{
 		{Name: "Max Search Time"},

@@ -109,12 +109,6 @@ func (e *transientError) Error() string {
 // Transient implements the core retry-classification interface.
 func (e *transientError) Transient() bool { return true }
 
-// NewTransientError returns a deterministic error that core.IsTransient
-// classifies as retryable — for scripting flaky components.
-func NewTransientError(site string, index int) error {
-	return &transientError{site: site, index: index}
-}
-
 // Meter wraps a budget meter, firing scripted faults at 0-based Charge-call
 // indices. Charges are the natural injection points: every training, eval,
 // ranking, and attack cost passes through the meter, so "fail at charge 7"

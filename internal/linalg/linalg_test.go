@@ -250,13 +250,20 @@ func TestLassoCDZeroAlphaIsLeastSquares(t *testing.T) {
 	}
 }
 
+// knn is a whole-matrix query with fresh scratch and no self.
+func knn(x *Matrix, query []float64, k int, m Metric) []int {
+	var scratch NNScratch
+	return KNN(x, query, identityRows(x.Rows), k, m, -1, &scratch, nil)
+}
+
 func TestKNNOrderingAndExclusion(t *testing.T) {
 	x := FromRows([][]float64{{0}, {1}, {2}, {10}})
-	got := KNN(x, []float64{0.4}, 2, Euclidean, nil)
+	got := knn(x, []float64{0.4}, 2, Euclidean)
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("KNN order %v", got)
 	}
-	got = KNN(x, []float64{0.4}, 2, Euclidean, map[int]bool{0: true})
+	var scratch NNScratch
+	got = KNN(x, []float64{0.4}, identityRows(x.Rows), 2, Euclidean, 0, &scratch, nil)
 	if got[0] != 1 || got[1] != 2 {
 		t.Fatalf("KNN with exclusion %v", got)
 	}
@@ -266,17 +273,17 @@ func TestKNNManhattanVsEuclideanDiffer(t *testing.T) {
 	// Point A at (0, 3): L1 = 3, L2² = 9. Point B at (2, 2): L1 = 4, L2² = 8.
 	x := FromRows([][]float64{{0, 3}, {2, 2}})
 	q := []float64{0, 0}
-	if KNN(x, q, 1, Manhattan, nil)[0] != 0 {
+	if knn(x, q, 1, Manhattan)[0] != 0 {
 		t.Fatal("Manhattan nearest should be row 0")
 	}
-	if KNN(x, q, 1, Euclidean, nil)[0] != 1 {
+	if knn(x, q, 1, Euclidean)[0] != 1 {
 		t.Fatal("Euclidean nearest should be row 1")
 	}
 }
 
 func TestKNNKLargerThanRows(t *testing.T) {
 	x := FromRows([][]float64{{0}, {1}})
-	got := KNN(x, []float64{0}, 10, Euclidean, nil)
+	got := knn(x, []float64{0}, 10, Euclidean)
 	if len(got) != 2 {
 		t.Fatalf("expected clamped result, got %v", got)
 	}

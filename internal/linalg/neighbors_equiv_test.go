@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,8 +57,19 @@ func fuzzMatrix(rng *xrand.RNG, rows, cols int, quantized bool) *Matrix {
 	return x
 }
 
+// identityRows lists every row of an n-row matrix, the candidate list of a
+// query over the whole matrix.
+func identityRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
 func TestKNNMatchesReferenceFuzzed(t *testing.T) {
 	rng := xrand.New(41)
+	var scratch NNScratch
 	for trial := 0; trial < 60; trial++ {
 		rows := 1 + rng.Intn(120)
 		cols := 1 + rng.Intn(6)
@@ -69,17 +81,29 @@ func TestKNNMatchesReferenceFuzzed(t *testing.T) {
 			metric = Manhattan
 		}
 		var exclude map[int]bool
+		cands, self := identityRows(rows), -1
 		switch trial % 4 {
-		case 0: // nil map
-		case 1: // single self-exclusion (the ReliefF/MCFS pattern)
-			exclude = map[int]bool{rng.Intn(rows): true}
-		case 2: // false-valued entry must not exclude
+		case 0: // nil map: every row, no self
+		case 1: // single self-exclusion (the MCFS pattern)
+			self = rng.Intn(rows)
+			exclude = map[int]bool{self: true}
+		case 2: // false-valued entry must not exclude; the rows come in
+			// reverse order, so equal distances arrive in falling index order
 			exclude = map[int]bool{rng.Intn(rows): false}
-		default: // multi-row exclusion takes the general path
-			exclude = map[int]bool{rng.Intn(rows): true, rng.Intn(rows): true, rng.Intn(rows): true}
+			slices.Reverse(cands)
+		default: // multi-row exclusion: a row list without them, and a self
+			// that is not in the list
+			self = rng.Intn(rows)
+			exclude = map[int]bool{self: true, rng.Intn(rows): true, rng.Intn(rows): true}
+			cands = cands[:0]
+			for i := 0; i < rows; i++ {
+				if !exclude[i] {
+					cands = append(cands, i)
+				}
+			}
 		}
 		want := referenceKNN(x, q, k, metric, exclude)
-		got := KNN(x, q, k, metric, exclude)
+		got := KNN(x, q, cands, k, metric, self, &scratch, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (rows=%d k=%d excl=%v): KNN = %v, want %v", trial, rows, k, exclude, got, want)
 		}
@@ -115,28 +139,32 @@ func TestKNNWithinMatchesReferenceFuzzed(t *testing.T) {
 			}
 		}
 		want := referenceKNN(x, q, k, Manhattan, excl)
-		out = KNNWithin(x, q, cands, k, Manhattan, self, &scratch, out)
+		out = KNN(x, q, cands, k, Manhattan, self, &scratch, out)
 		if len(out) != len(want) || (len(want) > 0 && !reflect.DeepEqual(out, want)) {
-			t.Fatalf("trial %d: KNNWithin = %v, want %v", trial, out, want)
+			t.Fatalf("trial %d: KNN = %v, want %v", trial, out, want)
 		}
 	}
 }
 
+// TestKNNSelfSteadyStateAllocFree pins that a self-excluding query over
+// every row (the MCFS pattern) allocates nothing once scratch and out are
+// warm.
 func TestKNNSelfSteadyStateAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	rng := xrand.New(5)
 	x := fuzzMatrix(rng, 300, 8, false)
+	all := identityRows(x.Rows)
 	var scratch NNScratch
 	out := make([]int, 0, 16)
 	q := x.Row(7)
-	out = KNNSelf(x, q, 11, Euclidean, 7, &scratch, out) // warm the scratch
+	out = KNN(x, q, all, 11, Euclidean, 7, &scratch, out) // warm the scratch
 	allocs := testing.AllocsPerRun(50, func() {
-		out = KNNSelf(x, q, 11, Euclidean, 7, &scratch, out)
+		out = KNN(x, q, all, 11, Euclidean, 7, &scratch, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("KNNSelf steady state allocates %.1f objects per query, want 0", allocs)
+		t.Fatalf("KNN steady state allocates %.1f objects per query, want 0", allocs)
 	}
 }
 
@@ -145,11 +173,12 @@ func BenchmarkKNN(b *testing.B) {
 	x := fuzzMatrix(rng, 1000, 10, false)
 	q := x.Row(0)
 	b.Run("heap", func(b *testing.B) {
+		all := identityRows(x.Rows)
 		var scratch NNScratch
 		var out []int
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out = KNNSelf(x, q, 11, Euclidean, 0, &scratch, out)
+			out = KNN(x, q, all, 11, Euclidean, 0, &scratch, out)
 		}
 	})
 	b.Run("reference-sort", func(b *testing.B) {

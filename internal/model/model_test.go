@@ -383,23 +383,6 @@ func TestNBStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPerturbLeavesChangesProbas(t *testing.T) {
-	tr := NewTree(3)
-	if err := tr.Fit(separable(100, 17)); err != nil {
-		t.Fatal(err)
-	}
-	tr.PerturbLeaves(func(p float64) float64 { return 1 - p })
-	// The signal is inverted: accuracy should now be poor.
-	if acc := accuracy(tr, separable(100, 18)); acc > 0.5 {
-		t.Fatalf("inverted leaves still accurate: %v", acc)
-	}
-	// Clamping: perturbations outside [0,1] must clamp.
-	tr.PerturbLeaves(func(p float64) float64 { return p + 10 })
-	if p := tr.PredictProba([]float64{0.5, 0.5}); p != 1 {
-		t.Fatalf("leaf proba %v not clamped", p)
-	}
-}
-
 func TestPredictBatch(t *testing.T) {
 	d := separable(50, 19)
 	lr := NewLogReg(1)

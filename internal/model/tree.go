@@ -299,32 +299,3 @@ func (m *Tree) LeafCount() int {
 	}
 	return walk(m.root)
 }
-
-// PerturbLeaves applies fn to every leaf probability; the differentially
-// private decision tree uses this to add calibrated noise to leaf class
-// fractions.
-func (m *Tree) PerturbLeaves(fn func(proba float64) float64) {
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil {
-			return
-		}
-		if n.leaf {
-			n.proba = clamp01(fn(n.proba))
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(m.root)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}

@@ -103,7 +103,7 @@ func refNearestWithin(d *dataset.Dataset, candidates []int, self int, row []floa
 }
 
 // referenceMCFSRank is the pre-rewrite serial affinity construction (per-row
-// map-exclusion KNN, interleaved symmetrization) feeding the same Laplacian,
+// KNN with fresh scratch, interleaved symmetrization) feeding the same Laplacian,
 // eigendecomposition, and lasso pipeline.
 func referenceMCFSRank(m MCFS, train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	n, p := train.Rows(), train.Features()
@@ -150,8 +150,13 @@ func referenceMCFSRank(m MCFS, train *dataset.Dataset, rng *xrand.RNG) ([]float6
 	if sigma2 <= 0 {
 		sigma2 = 1
 	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	for i := 0; i < n; i++ {
-		nn := linalg.KNN(x, x.Row(i), kNN+1, linalg.Euclidean, map[int]bool{i: true})
+		var scratch linalg.NNScratch
+		nn := linalg.KNN(x, x.Row(i), all, kNN+1, linalg.Euclidean, i, &scratch, nil)
 		for _, l := range nn {
 			a := math.Exp(-linalg.SqDist(x.Row(i), x.Row(l)) / sigma2)
 			if a > w.At(i, l) {

@@ -108,12 +108,16 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 		sigma2 = 1
 	}
 	// The symmetrized max-merge writes w[i,l] and w[l,i], so rows merge in
-	// row order; the neighbour search reads only x. The heap scratch is
-	// reused across rows.
+	// row order; the neighbour search reads only x. Every row is a
+	// candidate, and the heap scratch is reused across rows.
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	var scratch linalg.NNScratch
 	var nn []int
 	for i := 0; i < n; i++ {
-		nn = linalg.KNNSelf(x, x.Row(i), kNN+1, linalg.Euclidean, i, &scratch, nn)
+		nn = linalg.KNN(x, x.Row(i), all, kNN+1, linalg.Euclidean, i, &scratch, nn)
 		for _, l := range nn {
 			a := math.Exp(-linalg.SqDist(x.Row(i), x.Row(l)) / sigma2)
 			if a > w.At(i, l) {

@@ -32,28 +32,6 @@ type Ranker interface {
 	Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 }
 
-// TopK returns the indices of the k highest-scoring features, ties broken by
-// the lower index. k is clamped to [1, len(scores)].
-func TopK(scores []float64, k int) []int {
-	if len(scores) == 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	out := append([]int(nil), idx[:k]...)
-	sort.Ints(out)
-	return out
-}
-
 // Variance ranks features by their variance — low-variance features carry
 // little information (§4.2, TPE(Variance)).
 type Variance struct{}

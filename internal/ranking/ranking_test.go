@@ -235,28 +235,6 @@ func TestPermutationImportanceUnfittedRNGRequired(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.7}
-	if got := TopK(scores, 2); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("TopK(2) = %v", got)
-	}
-	// Clamping.
-	if got := TopK(scores, 0); len(got) != 1 {
-		t.Fatalf("TopK(0) = %v", got)
-	}
-	if got := TopK(scores, 99); len(got) != 4 {
-		t.Fatalf("TopK(99) = %v", got)
-	}
-	if TopK(nil, 3) != nil {
-		t.Fatal("TopK(nil) should be nil")
-	}
-	// Deterministic tie-break on the lower index.
-	ties := []float64{0.5, 0.5, 0.5}
-	if got := TopK(ties, 2); got[0] != 0 || got[1] != 1 {
-		t.Fatalf("tie-break %v", got)
-	}
-}
-
 func TestRankersRejectEmptyDataset(t *testing.T) {
 	d := &dataset.Dataset{Name: "empty", X: linalg.NewMatrix(0, 3)}
 	for _, r := range allRankers() {

@@ -66,8 +66,8 @@ func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 	for _, i := range seeds {
 		row := train.X.Row(i)
 		y := train.Y[i]
-		hits = linalg.KNNWithin(train.X, row, byClass[y], k, linalg.Manhattan, i, &hitScratch, hits)
-		misses = linalg.KNNWithin(train.X, row, byClass[1-y], k, linalg.Manhattan, i, &missScratch, misses)
+		hits = linalg.KNN(train.X, row, byClass[y], k, linalg.Manhattan, i, &hitScratch, hits)
+		misses = linalg.KNN(train.X, row, byClass[1-y], k, linalg.Manhattan, i, &missScratch, misses)
 		if len(hits) == 0 || len(misses) == 0 {
 			continue
 		}

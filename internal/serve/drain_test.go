@@ -230,3 +230,68 @@ func TestDrainEndsQueuedJobStreams(t *testing.T) {
 	}
 	checkInvariant(t, srv)
 }
+
+// TestDrainEndsQueuedJobStreamsUnderStart is TestDrainEndsQueuedJobStreams
+// on the listener Start owns: the drain must end the queued job's followed
+// result and checkpoint streams with its state in the trailer before it
+// shuts the listener down, not cut them with no trailer.
+func TestDrainEndsQueuedJobStreamsUnderStart(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1,
+		BuildPool: func(ctx context.Context, cfg bench.Config, _ bench.RunOptions) (*bench.Pool, error) {
+			<-ctx.Done()
+			return &bench.Pool{Config: cfg, Interrupted: true}, nil
+		}})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + srv.Addr()
+
+	code, running, _, _ := postJob(t, base, streamSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	awaitState(t, base, running.ID, StateRunning)
+	code, queued, _, _ := postJob(t, base, streamSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+
+	// Bounded so that a stream the drain leaves open fails the test instead
+	// of hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	type ended struct {
+		path, state string
+		err         error
+	}
+	results := make(chan ended, 2)
+	for _, path := range []string{"/result?follow=1", "/checkpoint?follow=1"} {
+		resp, err := client.Get(base + "/jobs/" + queued.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: code %d", path, resp.StatusCode)
+		}
+		go func() {
+			_, err := io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			results <- ended{path, resp.Trailer.Get(trailerJobState), err}
+		}()
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		e := <-results
+		if e.err != nil {
+			t.Fatalf("%s of the queued job did not end cleanly at drain: %v", e.path, e.err)
+		}
+		if e.state != string(StateQueued) {
+			t.Fatalf("%s ended with %s = %q, want %q", e.path, trailerJobState, e.state, StateQueued)
+		}
+	}
+	if j, _ := srv.Job(running.ID); j.State() != StateDrained {
+		t.Fatalf("running job %s is %s after the drain, want %s", running.ID, j.State(), StateDrained)
+	}
+	checkInvariant(t, srv)
+}

@@ -870,11 +870,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // get 503), cancel in-flight jobs — their completed scenarios are already
 // fsync'd in per-job checkpoints — wait for the workers to type every
 // in-flight job as drained, and persist all lifecycle files. Queued jobs
-// stay queued on disk; a restarted daemon re-enqueues both. Followed result
-// and checkpoint streams end with the drain: Start's listener closes their
-// connections, and on a listener the caller owns each ends with its job's
-// state in the trailer once Drain completes. ctx bounds the wait. Drain is
-// idempotent; concurrent calls wait for the first.
+// stay queued on disk; a restarted daemon re-enqueues both. Every followed
+// result and checkpoint stream, under Start or on a listener the caller
+// owns, ends with its job's state in the trailer (drained, or queued for a
+// job no worker reached) before Start's listener shuts down. ctx bounds the
+// wait. Drain is idempotent; a concurrent call returns once the first has
+// told every stream to end, which can be before the listener is down.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		select {
@@ -908,15 +909,20 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
-	if s.httpSrv != nil {
-		_ = s.httpSrv.Close()
-	}
 	// Workers are quiesced, so no job is writing evaluations anymore.
 	s.closeStore()
-	// Terminate live event streams: subscribers see a closed channel and
-	// finish their responses instead of waiting on a silent span stream.
+	// End live streams before the listener: event subscribers see a closed
+	// channel, and followed result and checkpoint streams see s.drained and
+	// end with their job's state in the trailer.
 	s.bcast.Close()
 	close(s.drained)
+	if s.httpSrv != nil {
+		// Shutdown lets those handlers finish their responses; a client that
+		// stops reading is cut when ctx ends.
+		if err := s.httpSrv.Shutdown(ctx); err != nil {
+			_ = s.httpSrv.Close()
+		}
+	}
 	s.cfg.Logf("serve: drained")
 	return nil
 }
