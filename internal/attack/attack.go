@@ -59,81 +59,7 @@ type Result struct {
 // starting points (any instance predicted differently than x); typically the
 // rest of the test set.
 func Attack(clf model.Classifier, x []float64, pool *linalg.Matrix, cfg Config, rng *xrand.RNG) Result {
-	q := &querier{clf: clf}
-	orig := q.predict(x)
-
-	// Initial adversarial: first pool row classified differently.
-	var adv []float64
-	for i := 0; i < pool.Rows; i++ {
-		if q.predict(pool.Row(i)) != orig {
-			adv = append([]float64(nil), pool.Row(i)...)
-			break
-		}
-	}
-	if adv == nil {
-		return Result{Queries: q.count}
-	}
-
-	adv = q.bisect(x, adv, orig, cfg.BinarySearchSteps)
-	dim := len(x)
-	for it := 0; it < cfg.Iterations; it++ {
-		// Estimate the boundary normal via Monte-Carlo sign queries.
-		delta := linalg.Norm2(sub(adv, x)) / math.Sqrt(float64(dim)+1)
-		if delta <= 0 {
-			break
-		}
-		grad := make([]float64, dim)
-		for s := 0; s < cfg.GradSamples; s++ {
-			u := make([]float64, dim)
-			for j := range u {
-				u[j] = rng.Norm()
-			}
-			n := linalg.Norm2(u)
-			if n == 0 {
-				continue
-			}
-			probe := make([]float64, dim)
-			for j := range probe {
-				probe[j] = clamp01(adv[j] + delta*u[j]/n)
-			}
-			sign := -1.0
-			if q.predict(probe) != orig {
-				sign = 1.0
-			}
-			for j := range grad {
-				grad[j] += sign * u[j] / n
-			}
-		}
-		gn := linalg.Norm2(grad)
-		if gn == 0 {
-			break
-		}
-		// Geometric step-size search along the estimated normal.
-		step := linalg.Norm2(sub(adv, x)) / math.Sqrt(float64(it)+1)
-		moved := false
-		for step > 1e-4 {
-			cand := make([]float64, dim)
-			for j := range cand {
-				cand[j] = clamp01(adv[j] + step*grad[j]/gn)
-			}
-			if q.predict(cand) != orig {
-				adv = cand
-				moved = true
-				break
-			}
-			step /= 2
-		}
-		if !moved {
-			break
-		}
-		adv = q.bisect(x, adv, orig, cfg.BinarySearchSteps)
-	}
-
-	success := q.predict(adv) != orig
-	if success && cfg.MaxDist > 0 && linalg.Norm2(sub(adv, x)) > cfg.MaxDist {
-		success = false
-	}
-	return Result{Adversarial: adv, Success: success, Queries: q.count}
+	return newWorkspace(len(x)).attack(clf, x, pool, cfg, rng)
 }
 
 // EmpiricalRobustness attacks up to maxInstances rows of test and returns
@@ -150,14 +76,14 @@ func EmpiricalRobustness(clf model.Classifier, test *dataset.Dataset, maxInstanc
 	}
 	idx := rng.Sample(n, k)
 
-	yTrue := make([]int, k)
-	yOrig := make([]int, k)
-	yAtt := make([]int, k)
+	labels := make([]int, 3*k)
+	yTrue, yOrig, yAtt := labels[:k], labels[k:2*k], labels[2*k:]
+	ws := newWorkspace(test.Features())
 	for pos, i := range idx {
 		row := test.X.Row(i)
 		yTrue[pos] = test.Y[i]
 		yOrig[pos] = clf.Predict(row)
-		res := Attack(clf, row, test.X, cfg, rng)
+		res := ws.attack(clf, row, test.X, cfg, rng)
 		queries += res.Queries
 		if res.Success {
 			yAtt[pos] = clf.Predict(res.Adversarial)
@@ -170,6 +96,114 @@ func EmpiricalRobustness(clf model.Classifier, test *dataset.Dataset, maxInstanc
 	return metrics.Safety(f1o, f1a), queries
 }
 
+// workspace holds the vectors of one attack: the current adversarial point,
+// the step candidate, the gradient estimate and its sign-query direction,
+// the bisection's original-side end and midpoint (which doubles as the
+// gradient probe), and a difference buffer for distances. EmpiricalRobustness
+// reuses one workspace across its instances, so an attack allocates nothing
+// per probe.
+type workspace struct {
+	adv, cand, grad, u, lo, mid, diff []float64
+}
+
+func newWorkspace(dim int) *workspace {
+	buf := make([]float64, 7*dim)
+	next := func() []float64 {
+		v := buf[:dim:dim]
+		buf = buf[dim:]
+		return v
+	}
+	return &workspace{adv: next(), cand: next(), grad: next(), u: next(), lo: next(), mid: next(), diff: next()}
+}
+
+// attack runs Attack in w. The returned Adversarial aliases w.adv, so it is
+// valid until w's next attack.
+func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matrix, cfg Config, rng *xrand.RNG) Result {
+	q := querier{clf: clf}
+	orig := q.predict(x)
+
+	// Initial adversarial: first pool row classified differently.
+	found := false
+	for i := 0; i < pool.Rows; i++ {
+		if q.predict(pool.Row(i)) != orig {
+			copy(w.adv, pool.Row(i))
+			found = true
+			break
+		}
+	}
+	if !found {
+		return Result{Queries: q.count}
+	}
+
+	q.bisect(x, w.adv, w.lo, w.mid, orig, cfg.BinarySearchSteps)
+	dim := len(x)
+	for it := 0; it < cfg.Iterations; it++ {
+		// Estimate the boundary normal via Monte-Carlo sign queries.
+		delta := w.dist(x) / math.Sqrt(float64(dim)+1)
+		if delta <= 0 {
+			break
+		}
+		grad, u, probe := w.grad, w.u, w.mid
+		clear(grad)
+		for s := 0; s < cfg.GradSamples; s++ {
+			for j := range u {
+				u[j] = rng.Norm()
+			}
+			n := linalg.Norm2(u)
+			if n == 0 {
+				continue
+			}
+			for j := range probe {
+				probe[j] = clamp01(w.adv[j] + delta*u[j]/n)
+			}
+			sign := -1.0
+			if q.predict(probe) != orig {
+				sign = 1.0
+			}
+			for j := range grad {
+				grad[j] += sign * u[j] / n
+			}
+		}
+		gn := linalg.Norm2(grad)
+		if gn == 0 {
+			break
+		}
+		// Geometric step-size search along the estimated normal.
+		step := w.dist(x) / math.Sqrt(float64(it)+1)
+		moved := false
+		for step > 1e-4 {
+			cand := w.cand
+			for j := range cand {
+				cand[j] = clamp01(w.adv[j] + step*grad[j]/gn)
+			}
+			if q.predict(cand) != orig {
+				w.adv, w.cand = cand, w.adv
+				moved = true
+				break
+			}
+			step /= 2
+		}
+		if !moved {
+			break
+		}
+		q.bisect(x, w.adv, w.lo, w.mid, orig, cfg.BinarySearchSteps)
+	}
+
+	success := q.predict(w.adv) != orig
+	if success && cfg.MaxDist > 0 && w.dist(x) > cfg.MaxDist {
+		success = false
+	}
+	return Result{Adversarial: w.adv, Success: success, Queries: q.count}
+}
+
+// dist returns the L2 distance between w.adv and x.
+func (w *workspace) dist(x []float64) float64 {
+	for j := range w.diff {
+		w.diff[j] = w.adv[j] - x[j]
+	}
+	return linalg.Norm2(w.diff)
+}
+
 type querier struct {
 	clf   model.Classifier
 	count int
@@ -180,31 +214,20 @@ func (q *querier) predict(x []float64) int {
 	return q.clf.Predict(x)
 }
 
-// bisect walks the segment [x, adv] to the boundary, returning the point on
-// the adversarial side.
-func (q *querier) bisect(x, adv []float64, orig int, steps int) []float64 {
-	lo := append([]float64(nil), x...)   // original side
-	hi := append([]float64(nil), adv...) // adversarial side
-	mid := make([]float64, len(x))
+// bisect walks the segment [x, adv] to the boundary, leaving in adv the
+// point on the adversarial side; lo and mid are scratch of len(x).
+func (q *querier) bisect(x, adv, lo, mid []float64, orig int, steps int) {
+	copy(lo, x) // original side; adv is the adversarial side
 	for s := 0; s < steps; s++ {
 		for j := range mid {
-			mid[j] = (lo[j] + hi[j]) / 2
+			mid[j] = (lo[j] + adv[j]) / 2
 		}
 		if q.predict(mid) != orig {
-			copy(hi, mid)
+			copy(adv, mid)
 		} else {
 			copy(lo, mid)
 		}
 	}
-	return hi
-}
-
-func sub(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
 }
 
 func clamp01(v float64) float64 {

@@ -1,11 +1,13 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"github.com/declarative-fs/dfs/internal/dataset"
 	"github.com/declarative-fs/dfs/internal/linalg"
 	"github.com/declarative-fs/dfs/internal/model"
+	"github.com/declarative-fs/dfs/internal/race"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -63,7 +65,7 @@ func TestAttackFindsSmallPerturbation(t *testing.T) {
 	// The nearest boundary point is at distance 0.4 (feature 0 from 0.9 to
 	// 0.5); the refined adversarial should be close to it, certainly much
 	// closer than the initial pool point (distance ~1.08).
-	d := linalg.Norm2(sub(res.Adversarial, x))
+	d := math.Sqrt(linalg.SqDist(res.Adversarial, x))
 	if d > 0.7 {
 		t.Fatalf("adversarial distance %v, boundary refinement ineffective", d)
 	}
@@ -192,6 +194,28 @@ func TestMoreFeaturesLowerSafety(t *testing.T) {
 	narrow, wide := avg(2), avg(12)
 	if wide > narrow+0.05 {
 		t.Fatalf("expected wide (%v) to be no safer than narrow (%v)", wide, narrow)
+	}
+}
+
+// TestEmpiricalRobustnessAllocCeiling is the alloc tripwire for the safety
+// measurement: one workspace serves every probe of every attacked instance,
+// so a measurement allocates only its instance sample, its label buffer and
+// that workspace.
+func TestEmpiricalRobustnessAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	d := robustnessDataset(60, 5, 1)
+	clf := model.NewLogReg(10)
+	if err := clf.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(3)
+	allocs := testing.AllocsPerRun(5, func() {
+		EmpiricalRobustness(clf, d, 8, DefaultConfig(), rng)
+	})
+	if allocs > 4 {
+		t.Fatalf("EmpiricalRobustness allocates %.0f objects, ceiling 4", allocs)
 	}
 }
 

@@ -91,12 +91,14 @@ type Evaluator struct {
 	predA  []int
 	predB  []int
 
-	// trainViews / valViews cache the most recent feature-selected copies
-	// of the train and validation splits: RFE re-selects the subset it just
-	// evaluated to rank features, and EvaluateOnTest re-selects the best
-	// candidate's subset.
+	// trainViews / valViews / testViews cache the most recent
+	// feature-selected copies of the three splits: RFE re-selects the subset
+	// it just evaluated to rank features, and EvaluateOnTest re-selects the
+	// best candidate's subset. A miss rewrites an older view in place, so a
+	// view is used before the next selection from its cache and never kept.
 	trainViews *dataset.SelectionCache
 	valViews   *dataset.SelectionCache
+	testViews  *dataset.SelectionCache
 
 	best     *Candidate // lowest validation distance (then objective)
 	solution *Candidate // best test-confirmed satisfying subset
@@ -122,6 +124,7 @@ func NewEvaluator(scn *Scenario, meter budget.Meter, seed uint64, maxEvals int) 
 		maxEvals:   maxEvals,
 		trainViews: dataset.NewSelectionCache(scn.Split.Train),
 		valViews:   dataset.NewSelectionCache(scn.Split.Val),
+		testViews:  dataset.NewSelectionCache(scn.Split.Test),
 	}, nil
 }
 
@@ -423,7 +426,7 @@ func (ev *Evaluator) computeEvaluate(mask []bool, key []byte, mk *memoKey, owned
 	}
 	phys := physical{val: valScores, valCustom: valCustom}
 	confirm := func() (constraint.Scores, []float64, error) {
-		testScores, testCustom, err := ev.scoreOn(clf, ev.scn.Split.Test, sel, true, rng)
+		testScores, testCustom, err := ev.scoreOn(clf, key, sel, true, rng)
 		if err == nil {
 			phys.test, phys.testCustom, phys.hasTest = testScores, testCustom, true
 		}
@@ -657,10 +660,12 @@ func (ev *Evaluator) customScores(clf model.Classifier, part *dataset.Dataset, p
 	return out
 }
 
-// scoreOn measures the constrained metrics of a fitted classifier on a data
-// partition (used for the test confirmation), including custom constraints.
-func (ev *Evaluator) scoreOn(clf model.Classifier, part *dataset.Dataset, sel []int, charge bool, rng *xrand.RNG) (constraint.Scores, []float64, error) {
-	sub := part.SelectFeatures(sel)
+// scoreOn measures the constrained metrics of a fitted classifier on the
+// test split restricted to sel, whose mask key is key (the test
+// confirmation), including custom constraints.
+func (ev *Evaluator) scoreOn(clf model.Classifier, key []byte, sel []int, charge bool, rng *xrand.RNG) (constraint.Scores, []float64, error) {
+	part := ev.scn.Split.Test
+	sub := ev.testViews.Select(key, sel)
 	effFeatures := float64(len(sel)) / float64(ev.NumFeatures()) * float64(part.NominalFeatures())
 	if charge {
 		if err := ev.charge(budget.EvalCost(part.NominalRows()/5, effFeatures)); err != nil {
@@ -815,7 +820,7 @@ func (ev *Evaluator) EvaluateOnTest(c *Candidate) (constraint.Scores, error) {
 			bestClf, bestF1 = clf, f1
 		}
 	}
-	scores, testCustom, err := ev.scoreOn(bestClf, ev.scn.Split.Test, sel, false, rng)
+	scores, testCustom, err := ev.scoreOn(bestClf, key, sel, false, rng)
 	if err != nil {
 		return constraint.Scores{}, err
 	}

@@ -240,21 +240,31 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 // SelectFeatures returns a dataset view with only the given feature columns.
 // The sensitive attribute and target are preserved unchanged.
 func (d *Dataset) SelectFeatures(cols []int) *Dataset {
+	return d.selectFeaturesInto(&Dataset{X: &linalg.Matrix{}}, cols)
+}
+
+// selectFeaturesInto is SelectFeatures writing into dst, whose matrix and
+// name storage it reuses when large enough; it returns dst.
+func (d *Dataset) selectFeaturesInto(dst *Dataset, cols []int) *Dataset {
 	var names []string
 	if d.FeatureNames != nil {
-		names = make([]string, len(cols))
-		for k, j := range cols {
-			names[k] = d.FeatureNames[j]
+		names = dst.FeatureNames[:0]
+		if names == nil {
+			names = make([]string, 0, len(cols))
+		}
+		for _, j := range cols {
+			names = append(names, d.FeatureNames[j])
 		}
 	}
-	return &Dataset{
+	*dst = Dataset{
 		Name:         d.Name,
-		X:            d.X.SelectCols(cols),
+		X:            d.X.SelectColsInto(dst.X, cols),
 		Y:            d.Y,
 		Sensitive:    d.Sensitive,
 		FeatureNames: names,
 		Nominal:      d.Nominal,
 	}
+	return dst
 }
 
 // ClassCounts returns the number of instances with label 0 and 1.

@@ -72,15 +72,25 @@ func (m *Matrix) Clone() *Matrix {
 // SelectCols returns a new matrix containing only the given columns, in the
 // given order. Indices may repeat.
 func (m *Matrix) SelectCols(cols []int) *Matrix {
-	out := NewMatrix(m.Rows, len(cols))
+	return m.SelectColsInto(&Matrix{}, cols)
+}
+
+// SelectColsInto is SelectCols writing into dst, whose storage it reuses
+// when large enough; it returns dst.
+func (m *Matrix) SelectColsInto(dst *Matrix, cols []int) *Matrix {
+	n := m.Rows * len(cols)
+	if cap(dst.Data) < n {
+		dst.Data = make([]float64, n)
+	}
+	dst.Rows, dst.Cols, dst.Data = m.Rows, len(cols), dst.Data[:n]
 	for i := 0; i < m.Rows; i++ {
 		src := m.Row(i)
-		dst := out.Row(i)
+		out := dst.Row(i)
 		for k, j := range cols {
-			dst[k] = src[j]
+			out[k] = src[j]
 		}
 	}
-	return out
+	return dst
 }
 
 // SelectRows returns a new matrix containing only the given rows, in order.

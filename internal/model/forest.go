@@ -71,19 +71,15 @@ func (m *Forest) Fit(d *dataset.Dataset) error {
 
 	rng := xrand.New(m.Seed)
 	m.members = make([]*Tree, 0, trees)
+	rows := make([]int, n)
 	for t := 0; t < trees; t++ {
 		treeRng := rng.Split()
-		rows := make([]int, n)
 		for i := range rows {
 			rows[i] = treeRng.Intn(n)
 		}
-		boot := d.Subset(rows)
-		w := make([]float64, boot.Rows())
-		for i := range w {
-			w[i] = classWeight[boot.Y[i]]
-		}
+		// The bootstrap sample is a row list with repeats, not a copy.
 		tr := &Tree{MaxDepth: depth, MinLeaf: 1, Mtry: mtry, Rng: treeRng}
-		if err := tr.FitWeighted(boot, w); err != nil {
+		if err := tr.fit(d, rows, classWeight); err != nil {
 			return fmt.Errorf("model: RF member %d: %w", t, err)
 		}
 		m.members = append(m.members, tr)

@@ -253,16 +253,8 @@ func TestWeightedTreeShiftsDecision(t *testing.T) {
 		}
 	}
 	d := &dataset.Dataset{Name: "imb", X: x, Y: y, Sensitive: make([]int, n)}
-	w := make([]float64, n)
-	for i := range w {
-		if y[i] == 1 {
-			w[i] = 100
-		} else {
-			w[i] = 1
-		}
-	}
 	tr := NewTree(3)
-	if err := tr.FitWeighted(d, w); err != nil {
+	if err := tr.FitWeighted(d, [2]float64{1, 100}); err != nil {
 		t.Fatal(err)
 	}
 	pos := 0

@@ -85,55 +85,42 @@ func ReadForest(r io.Reader) (*Forest, error) {
 	return f, nil
 }
 
-// flattenTree lays the tree nodes out in pre-order.
+// flattenTree lays the tree nodes out in pre-order, the order they are
+// stored in.
 func flattenTree(tr *Tree) treeDoc {
-	doc := treeDoc{NFeatures: tr.nFeatures}
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		idx := len(doc.Nodes)
-		doc.Nodes = append(doc.Nodes, nodeDoc{
+	doc := treeDoc{NFeatures: tr.nFeatures, Nodes: make([]nodeDoc, len(tr.nodes))}
+	for i, n := range tr.nodes {
+		doc.Nodes[i] = nodeDoc{
 			Feature: n.feature, Threshold: n.threshold,
-			Proba: n.proba, Leaf: n.leaf, Left: -1, Right: -1,
-		})
-		if !n.leaf {
-			doc.Nodes[idx].Left = walk(n.left)
-			doc.Nodes[idx].Right = walk(n.right)
+			Proba: n.proba, Leaf: n.leaf, Left: n.left, Right: n.right,
 		}
-		return idx
 	}
-	walk(tr.root)
 	return doc
 }
 
-// unflattenTree rebuilds the linked structure and validates indices.
+// unflattenTree rebuilds the node list and validates indices: children
+// follow their parent, so the tree has no cycle.
 func unflattenTree(doc *treeDoc) (*Tree, error) {
 	if len(doc.Nodes) == 0 {
 		return nil, fmt.Errorf("empty node list")
 	}
-	nodes := make([]*treeNode, len(doc.Nodes))
-	for i := range doc.Nodes {
-		nd := &doc.Nodes[i]
-		nodes[i] = &treeNode{
-			feature: nd.Feature, threshold: nd.Threshold,
-			proba: nd.Proba, leaf: nd.Leaf,
-		}
-	}
+	nodes := make([]treeNode, len(doc.Nodes))
 	for i := range doc.Nodes {
 		nd := &doc.Nodes[i]
 		if nd.Leaf {
 			if nd.Left != -1 || nd.Right != -1 {
 				return nil, fmt.Errorf("leaf node %d has children", i)
 			}
-			continue
-		}
-		if nd.Left <= i || nd.Left >= len(nodes) || nd.Right <= i || nd.Right >= len(nodes) {
+		} else if nd.Left <= i || nd.Left >= len(nodes) || nd.Right <= i || nd.Right >= len(nodes) {
 			return nil, fmt.Errorf("node %d has invalid child indices (%d, %d)", i, nd.Left, nd.Right)
 		}
-		nodes[i].left = nodes[nd.Left]
-		nodes[i].right = nodes[nd.Right]
+		nodes[i] = treeNode{
+			feature: nd.Feature, threshold: nd.Threshold,
+			left: nd.Left, right: nd.Right,
+			proba: nd.Proba, leaf: nd.Leaf,
+		}
 	}
-	tr := &Tree{nFeatures: doc.NFeatures, fitted: true}
-	tr.root = nodes[0]
+	tr := &Tree{nFeatures: doc.NFeatures, fitted: true, nodes: nodes}
 	tr.importances = make([]float64, doc.NFeatures)
 	return tr, nil
 }

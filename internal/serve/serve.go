@@ -540,8 +540,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, RejectReason, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	acct := s.tenantLocked(spec.Tenant)
-	if acct.limit > 0 && acct.spent >= acct.limit {
+	// Only an existing account can be over budget: a tenant without one has
+	// spent nothing. A refusal creates no account, so refused submissions
+	// cannot grow the tenant table.
+	if acct, ok := s.tenants[spec.Tenant]; ok && acct.limit > 0 && acct.spent >= acct.limit {
 		s.mRejected.Inc()
 		s.mRejBudget.Inc()
 		return nil, RejectBudget, fmt.Errorf("serve: tenant %q budget exhausted (%.0f/%.0f cost units)",
@@ -569,6 +571,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, RejectReason, error) {
 		s.mRejInvalid.Inc()
 		return nil, RejectInvalid, fmt.Errorf("serve: persist job: %w", err)
 	}
+	s.tenantLocked(spec.Tenant)
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.mAdmitted.Inc()
@@ -577,7 +580,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, RejectReason, error) {
 	return job, RejectNone, nil
 }
 
-// tenantLocked returns (creating on first sight) the tenant's account.
+// tenantLocked returns (creating on first sight) the tenant's account. Only
+// an admission or a charge creates one.
 func (s *Server) tenantLocked(name string) *tenantAccount {
 	acct, ok := s.tenants[name]
 	if !ok {

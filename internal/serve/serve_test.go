@@ -394,6 +394,57 @@ func TestTenantBudgetRejection(t *testing.T) {
 	checkInvariant(t, srv)
 }
 
+// TestRefusedSubmissionsCreateNoTenant pins that a refusal leaves no tenant
+// account behind: valid specs from many distinct tenants against a full
+// queue (one blocked job slot, QueueCap 1) leave as many accounts, and as
+// high a serve.tenants gauge, as there were admissions.
+func TestRefusedSubmissionsCreateNoTenant(t *testing.T) {
+	started := make(chan struct{}, 1)
+	srv := newTestServer(t, Config{Workers: 1, QueueCap: 1,
+		BuildPool: func(ctx context.Context, cfg bench.Config, _ bench.RunOptions) (*bench.Pool, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return &bench.Pool{Config: cfg, Interrupted: true}, nil
+		}})
+	spec := func(i int) JobSpec {
+		return JobSpec{Scenarios: 1, Seed: 1, Datasets: []string{"COMPAS"}, Tenant: fmt.Sprintf("tenant-%04d", i)}
+	}
+	if _, reason, err := srv.Submit(spec(0)); err != nil {
+		t.Fatalf("first submission refused (%s): %v", reason, err)
+	}
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never picked up the first job")
+	}
+	admitted, full := 1, 0
+	for i := 1; i < 1000; i++ {
+		switch _, reason, err := srv.Submit(spec(i)); {
+		case err == nil:
+			admitted++
+		case reason == RejectQueueFull:
+			full++
+		default:
+			t.Fatalf("submission %d refused (%s): %v", i, reason, err)
+		}
+	}
+	if admitted != 2 || full != 998 {
+		t.Fatalf("admitted %d, refused as queue-full %d; want 2 and 998", admitted, full)
+	}
+	if got := srv.rt.Metrics().Snapshot().Gauges["serve.tenants"]; got != int64(admitted) {
+		t.Fatalf("serve.tenants = %d after %d admissions", got, admitted)
+	}
+	srv.mu.Lock()
+	accounts := len(srv.tenants)
+	srv.mu.Unlock()
+	if accounts != admitted {
+		t.Fatalf("%d tenant accounts after %d admissions", accounts, admitted)
+	}
+}
+
 // TestDrainingRejectsSubmissions pins the shutdown side of admission: once a
 // drain has begun, new submissions get 503 + Retry-After.
 func TestDrainingRejectsSubmissions(t *testing.T) {
