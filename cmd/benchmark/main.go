@@ -21,11 +21,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -55,8 +55,6 @@ func main() {
 	dumpPath := flag.String("dump", "", "write the raw HPO scenario pool as CSV to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. 127.0.0.1:8090)")
 	tracePath := flag.String("trace", "", "write a JSONL span trace of the run to this file")
-	traceRotate := flag.Int64("trace-rotate-bytes", 0, "rotate the -trace file when it would exceed this many bytes (0 = single file, no rotation)")
-	traceKeep := flag.Int("trace-keep", 8, "rotated -trace files to keep when -trace-rotate-bytes is set")
 	progressEvery := flag.Duration("progress", 0, "print a progress line (scenarios done, strategy runs started, cumulative over all pools) to stderr at this interval (0 disables)")
 	checkpointPrefix := flag.String("checkpoint", "", "stream completed scenarios to append-only JSONL checkpoints named PREFIX-LABEL.ckpt")
 	resume := flag.Bool("resume", false, "resume -checkpoint files from an earlier run (config must match; completed scenarios are not re-run)")
@@ -95,12 +93,16 @@ func main() {
 	ctx, stop := sigctx.WithSignals(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Observability is opt-in: without any of the three flags the context
-	// carries no runtime and the pools run on the uninstrumented path.
-	ctx, cleanup, err := setupObs(ctx, *debugAddr, *tracePath, *traceRotate, *traceKeep, *progressEvery)
+	// Observability is opt-in: without -trace, -debug-addr or -progress the
+	// context carries no runtime and the pools run on the uninstrumented path.
+	ctx, stopObs, err := obs.Setup(ctx, *tracePath, *debugAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchmark:", err)
 		os.Exit(1)
+	}
+	stopProgress := func() {}
+	if *progressEvery > 0 {
+		ctx, stopProgress = startProgress(ctx, *progressEvery, os.Stderr)
 	}
 	var store *evalstore.Store
 	if *evalStore != "" {
@@ -110,7 +112,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// exit funnels every path through cleanup so flush/close failures (full
+	// exit funnels every path through stopObs so flush/close failures (full
 	// disk truncating the trace) surface as a nonzero exit instead of
 	// silently dropping data.
 	exit := func(code int) {
@@ -124,7 +126,8 @@ func main() {
 				}
 			}
 		}
-		if err := cleanup(); err != nil {
+		stopProgress()
+		if err := stopObs(); err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark:", err)
 			if code == 0 {
 				code = 1
@@ -189,103 +192,35 @@ func parseShard(s string) (bench.ShardSpec, error) {
 	return spec, nil
 }
 
-// setupObs wires the opt-in observability surface: a JSONL tracer (-trace,
-// size-rotated when -trace-rotate-bytes is set), the debug HTTP listener
-// (-debug-addr), and a periodic progress line (-progress) read off the
-// metrics registry, cumulative over the process's pools. It returns the
-// runtime-carrying context and a cleanup that flushes the trace and stops
-// the listener, reporting the first failure — a Flush/Close error on the
-// trace file is lost data (full disk), not noise. When no flag is set the
-// context is returned untouched and cleanup is a no-op.
-func setupObs(ctx context.Context, debugAddr, tracePath string, traceRotate int64, traceKeep int, progressEvery time.Duration) (context.Context, func() error, error) {
-	noop := func() error { return nil }
-	if debugAddr == "" && tracePath == "" && progressEvery <= 0 {
-		return ctx, noop, nil
+// startProgress prints bench.ProgressLine to w every interval, read off
+// the metrics of ctx's runtime, so the counts are cumulative over the
+// process's pools. When ctx carries no runtime (no -trace or -debug-addr)
+// it injects one without a tracer into the returned context. The returned
+// stop ends the ticker and waits for its last line.
+func startProgress(ctx context.Context, every time.Duration, w io.Writer) (context.Context, func()) {
+	rt := obs.FromContext(ctx)
+	if rt == nil {
+		rt = obs.New()
+		ctx = obs.NewContext(ctx, rt)
 	}
-	var cleanups []func() error
-	cleanup := func() error {
-		var first error
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			if err := cleanups[i](); err != nil && first == nil {
-				first = err
+	t := time.NewTicker(every)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				fmt.Fprintln(w, bench.ProgressLine(rt.Metrics().Snapshot()))
 			}
 		}
-		return first
+	}()
+	return ctx, func() {
+		t.Stop()
+		close(stop)
+		<-done
 	}
-	var opts []obs.Option
-	var tracer *obs.Tracer
-	switch {
-	case tracePath != "" && traceRotate > 0:
-		sink, err := obs.NewRotatingFileSink(tracePath, traceRotate, traceKeep)
-		if err != nil {
-			return ctx, noop, err
-		}
-		tracer = obs.NewTracer(sink)
-		// Rotating sinks append across runs; the epoch marker tells readers
-		// (cmd/obsreport) where this run's span numbering begins.
-		tracer.Event(0, obs.EpochEvent, obs.Str("daemon", "benchmark"))
-		opts = append(opts, obs.WithTracer(tracer))
-		cleanups = append(cleanups, func() error {
-			err := tracer.Err()
-			if cerr := sink.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("trace %s: %w", tracePath, err)
-			}
-			return nil
-		})
-	case tracePath != "":
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return ctx, noop, err
-		}
-		bw := bufio.NewWriter(f)
-		tracer = obs.NewWriterTracer(bw)
-		opts = append(opts, obs.WithTracer(tracer))
-		cleanups = append(cleanups, func() error {
-			err := tracer.Err()
-			if ferr := bw.Flush(); err == nil {
-				err = ferr
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("trace %s: %w", tracePath, err)
-			}
-			return nil
-		})
-	}
-	rt := obs.New(opts...)
-	ctx = obs.NewContext(ctx, rt)
-	if debugAddr != "" {
-		srv, err := obs.StartDebug(debugAddr, rt)
-		if err != nil {
-			if cerr := cleanup(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "benchmark:", cerr)
-			}
-			return ctx, noop, err
-		}
-		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics)\n", srv.Addr())
-		cleanups = append(cleanups, srv.Close)
-	}
-	if progressEvery > 0 {
-		t := time.NewTicker(progressEvery)
-		stopped := make(chan struct{})
-		go func() {
-			for {
-				select {
-				case <-stopped:
-					return
-				case <-t.C:
-					fmt.Fprintln(os.Stderr, bench.ProgressLine(rt.Metrics().Snapshot()))
-				}
-			}
-		}()
-		cleanups = append(cleanups, func() error { t.Stop(); close(stopped); return nil })
-	}
-	return ctx, cleanup, nil
 }
 
 // dumpPool writes the HPO pool's raw per-strategy outcomes as CSV.

@@ -1,16 +1,21 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/declarative-fs/dfs/internal/bench"
 	"github.com/declarative-fs/dfs/internal/model"
+	"github.com/declarative-fs/dfs/internal/obs"
 )
 
 // TestOutputsRenderTheRunsResults seeds a runner's Figure 1 and Figure 5
@@ -149,4 +154,31 @@ func TestExperimentNames(t *testing.T) {
 	if err := r.run("table10"); err == nil || !strings.Contains(err.Error(), `unknown experiment "table10"`) {
 		t.Fatalf("-exp table10 returned %v, want an unknown-experiment error", err)
 	}
+}
+
+// TestProgressAlone: -progress without -trace or -debug-addr attaches a
+// runtime without a tracer and prints the pools' progress line off its
+// counters.
+func TestProgressAlone(t *testing.T) {
+	ctx, stopObs, err := obs.Setup(context.Background(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopObs()
+	pr, pw := io.Pipe()
+	ctx, stop := startProgress(ctx, time.Millisecond, pw)
+	defer stop()
+	defer pr.Close() // before stop: a line in flight fails instead of blocking
+	rt := obs.FromContext(ctx)
+	if rt == nil || rt.Tracer() != nil {
+		t.Fatalf("-progress alone runs on runtime %+v, want one without a tracer", rt)
+	}
+	rt.Metrics().Counter("pool.scenarios_planned").Add(2)
+	lines := bufio.NewScanner(pr)
+	for i := 0; i < 1000 && lines.Scan(); i++ {
+		if strings.HasPrefix(lines.Text(), "# pools: 0/2 scenarios done") {
+			return
+		}
+	}
+	t.Fatalf("no progress line counts the 2 planned scenarios (last %q, err %v)", lines.Text(), lines.Err())
 }

@@ -31,7 +31,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -101,64 +100,6 @@ func main() {
 	}
 }
 
-// setupObs builds the optional runtime-carrying context for the run; the
-// returned cleanup flushes the trace and stops the debug listener,
-// reporting the first failure — a trace that could not be written (full
-// disk) is lost data, not noise.
-func setupObs(ctx context.Context, debugAddr, tracePath string) (context.Context, func() error, error) {
-	noop := func() error { return nil }
-	if debugAddr == "" && tracePath == "" {
-		return ctx, noop, nil
-	}
-	var cleanups []func() error
-	cleanup := func() error {
-		var first error
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			if err := cleanups[i](); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	var opts []obs.Option
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return ctx, noop, err
-		}
-		bw := bufio.NewWriter(f)
-		tracer := obs.NewWriterTracer(bw)
-		opts = append(opts, obs.WithTracer(tracer))
-		cleanups = append(cleanups, func() error {
-			err := tracer.Err()
-			if ferr := bw.Flush(); err == nil {
-				err = ferr
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("trace %s: %w", tracePath, err)
-			}
-			return nil
-		})
-	}
-	rt := obs.New(opts...)
-	ctx = obs.NewContext(ctx, rt)
-	if debugAddr != "" {
-		srv, err := obs.StartDebug(debugAddr, rt)
-		if err != nil {
-			if cerr := cleanup(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "dfs:", cerr)
-			}
-			return ctx, noop, err
-		}
-		fmt.Fprintf(os.Stderr, "# debug listener on http://%s (pprof, /metrics)\n", srv.Addr())
-		cleanups = append(cleanups, srv.Close)
-	}
-	return ctx, cleanup, nil
-}
-
 // run executes the spec at specPath and prints the selection as JSON. A
 // trace that could not be written fails the run like any other error.
 func run(specPath, debugAddr, tracePath string) (err error) {
@@ -218,13 +159,13 @@ func run(specPath, debugAddr, tracePath string) (err error) {
 	if err != nil {
 		return err
 	}
-	ctx, cleanup, err := setupObs(context.Background(), debugAddr, tracePath)
+	ctx, stopObs, err := obs.Setup(context.Background(), tracePath, debugAddr)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := cleanup(); err == nil {
-			err = cerr
+		if serr := stopObs(); err == nil {
+			err = serr
 		}
 	}()
 	sel, err := dfs.SelectContext(ctx, d, kind, cs, opts...)

@@ -69,5 +69,9 @@ func (s *DebugServer) Close() error {
 	if s == nil {
 		return nil
 	}
-	return s.srv.Close()
+	err := s.srv.Close()
+	// srv.Close closes only the listeners Serve has taken; one it has not
+	// taken yet (a Close right after StartDebug) would stay bound.
+	_ = s.lis.Close()
+	return err
 }

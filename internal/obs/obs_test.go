@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -321,4 +322,22 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /progress: status %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestDebugServerCloseReleasesPort: a Close right after StartDebug, before
+// the serving goroutine has taken the listener, still frees the port.
+func TestDebugServerCloseReleasesPort(t *testing.T) {
+	srv, err := StartDebug("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("%s still bound after Close: %v", addr, err)
+	}
+	l.Close()
 }

@@ -532,12 +532,9 @@ const maxStreamLine = 16 << 20
 // them, and the job state from the stream trailer. A broken stream — a
 // transport or framing error, no trailer, or a read idle for several
 // keepalive beats (the watchdog, so a wedged connection cannot hang the
-// shard) — is transient: the caller re-attaches at next. A header for a
-// different pool (any bench.IdentityMismatch against the job's config and
-// this shard), or a record outside the shard or behind the cursor, is
-// permanent.
+// shard) — is transient: the caller re-attaches at next. A stream that
+// does not match the shard (readShardStream) is permanent.
 func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard bench.ShardSpec, from int) (n, next int, state State, err error) {
-	next = from
 	broken := func(err error) error {
 		return &workerUnavailableError{worker: worker, err: fmt.Errorf("follow checkpoint %s: %w", id, err)}
 	}
@@ -546,55 +543,27 @@ func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard benc
 	url := fmt.Sprintf("%s/jobs/%s/checkpoint?follow=1&from=%d", worker, id, from)
 	req, err := http.NewRequestWithContext(tctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, next, "", err
+		return 0, from, "", err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return 0, next, "", broken(err)
+		return 0, from, "", broken(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, next, "", broken(fmt.Errorf("%d: %s", resp.StatusCode, readError(resp.Body)))
+		return 0, from, "", broken(fmt.Errorf("%d: %s", resp.StatusCode, readError(resp.Body)))
 	}
 	idle := max(5*checkpointKeepalive, 5*r.f.pollInterval())
 	watchdog := time.AfterFunc(idle, cancel)
 	defer watchdog.Stop()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	if !sc.Scan() {
-		return 0, next, "", broken(fmt.Errorf("no header line: %v", sc.Err()))
-	}
-	watchdog.Reset(idle)
-	hcfg, err := bench.DecodeCheckpointHeader(sc.Bytes())
-	if err != nil {
-		return 0, next, "", broken(err)
-	}
 	want := r.cfg
 	want.Shard = shard
-	if err := bench.IdentityMismatch(hcfg, want, true); err != nil {
-		return 0, next, "", fmt.Errorf("fanout: worker %s streams a checkpoint for a different pool (%v)", worker, err)
+	n, next, err = readShardStream(resp.Body, want, from, func() { watchdog.Reset(idle) }, r.deliver)
+	if errors.Is(err, errStreamMismatch) {
+		return n, next, "", fmt.Errorf("fanout: worker %s: %w", worker, err)
 	}
-	for sc.Scan() {
-		watchdog.Reset(idle)
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue // keepalive heartbeat
-		}
-		var rec bench.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return n, next, "", broken(fmt.Errorf("bad record line: %w", err))
-		}
-		if rec.ID >= r.cfg.Scenarios || !shard.Contains(rec.ID) {
-			return n, next, "", fmt.Errorf("fanout: worker %s streamed scenario %d outside shard %s", worker, rec.ID, shard)
-		}
-		if rec.ID < next {
-			return n, next, "", fmt.Errorf("fanout: worker %s streamed scenario %d behind cursor %d", worker, rec.ID, next)
-		}
-		r.deliver(rec)
-		n, next = n+1, rec.ID+1
-	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return n, next, "", broken(err)
 	}
 	state = State(resp.Trailer.Get(trailerJobState))
@@ -602,6 +571,56 @@ func (r *fanoutJob) tailShard(ctx context.Context, worker, id string, shard benc
 		return n, next, "", broken(errors.New("stream ended without a state trailer"))
 	}
 	return n, next, state, nil
+}
+
+// errStreamMismatch marks a followed checkpoint stream that is not the
+// shard's: retrying it elsewhere cannot help, so the job fails.
+var errStreamMismatch = errors.New("stream does not match its shard")
+
+// readShardStream reads the body of one followed checkpoint attach: a
+// header line, then record lines from scenario cursor from on, with blank
+// keepalive lines between. It calls beat after every line it reads and
+// deliver with every record, and returns how many records it delivered
+// and the cursor one past the last. A header for a pool other than want
+// (any bench.IdentityMismatch, the shard compared), or a record outside
+// want's shard or behind the cursor, is an errStreamMismatch. Any other
+// fault — no header, a line that does not decode, a read error — leaves
+// the shard intact: the caller re-attaches at next.
+func readShardStream(body io.Reader, want bench.Config, from int, beat func(), deliver func(bench.Record)) (n, next int, err error) {
+	next = from
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+	if !sc.Scan() {
+		return 0, next, fmt.Errorf("no header line: %v", sc.Err())
+	}
+	beat()
+	hcfg, err := bench.DecodeCheckpointHeader(sc.Bytes())
+	if err != nil {
+		return 0, next, err
+	}
+	if err := bench.IdentityMismatch(hcfg, want, true); err != nil {
+		return 0, next, fmt.Errorf("%w: a checkpoint for a different pool (%v)", errStreamMismatch, err)
+	}
+	for sc.Scan() {
+		beat()
+		line := sc.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue // keepalive heartbeat
+		}
+		var rec bench.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return n, next, fmt.Errorf("bad record line: %w", err)
+		}
+		if rec.ID >= want.Scenarios || !want.Shard.Contains(rec.ID) {
+			return n, next, fmt.Errorf("%w: scenario %d outside shard %s", errStreamMismatch, rec.ID, want.Shard)
+		}
+		if rec.ID < next {
+			return n, next, fmt.Errorf("%w: scenario %d behind cursor %d", errStreamMismatch, rec.ID, next)
+		}
+		deliver(rec)
+		n, next = n+1, rec.ID+1
+	}
+	return n, next, sc.Err()
 }
 
 // probeHealthy reports whether the worker answers /healthz as serving (a

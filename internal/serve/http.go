@@ -42,12 +42,13 @@ const retryAfterSeconds = 2
 //	GET  /jobs             list all jobs             → 200 []Status
 //	GET  /jobs/{id}        one job's lifecycle state → 200 Status
 //	GET  /jobs/{id}/result completed pool as CSV     → 200 text/csv
-//	                       (?follow=1 → chunked CSV streamed while running)
+//	GET  /jobs/{id}/checkpoint  the same as NDJSON   → 200 x-ndjson
+//	                       (&from=<id> starts at the first shard scenario ≥ id)
+//	                       Both answer 409 until the job is done, unless
+//	                       ?follow=1 streams the records as they land (the
+//	                       NDJSON with blank-line keepalives); both end with
+//	                       the job's state in the X-Dfs-Job-State trailer.
 //	GET  /jobs/{id}/events SSE progress stream       → 200 text/event-stream
-//	GET  /jobs/{id}/checkpoint  raw checkpoint JSONL → 200 x-ndjson (done only;
-//	                       ?follow=1 → NDJSON streamed while running, with
-//	                       blank-line keepalives and an X-Dfs-Job-State trailer;
-//	                       &from=<id> starts at the first shard scenario ≥ id)
 //	GET  /metrics          obs metrics registry      → 200 JSON
 //	                       (?format=prom → Prometheus text exposition)
 //	GET  /healthz          serving/draining state    → 200 JSON
@@ -60,10 +61,10 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", s.handleList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("GET /jobs/{id}", s.withJob(s.handleStatus))
+	mux.HandleFunc("GET /jobs/{id}/result", s.withJob(s.streamResult))
+	mux.HandleFunc("GET /jobs/{id}/checkpoint", s.withJob(s.streamCheckpoint))
+	mux.HandleFunc("GET /jobs/{id}/events", s.withJob(s.handleEvents))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -72,9 +73,22 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "dfsd selection service\nPOST /jobs\nGET /jobs\nGET /jobs/{id}\nGET /jobs/{id}/result\n/metrics /healthz /debug/pprof/\n")
+		fmt.Fprint(w, "dfsd selection service\nPOST /jobs\nGET /jobs\nGET /jobs/{id}\nGET /jobs/{id}/result\nGET /jobs/{id}/checkpoint\nGET /jobs/{id}/events\n/metrics /healthz /debug/pprof/\n")
 	})
 	return mux
+}
+
+// withJob serves a /jobs/{id} route with the job the path names; an
+// unknown one answers 404.
+func (s *Server) withJob(serve func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job, ok := s.Job(r.PathValue("id"))
+		if !ok {
+			writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+			return
+		}
+		serve(w, r, job)
+	}
 }
 
 // errorBody is the JSON shape of every rejection.
@@ -149,28 +163,8 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, job *Job) {
 	writeJSON(w, http.StatusOK, job.Status())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	if st := job.State(); st != StateDone && r.URL.Query().Get("follow") == "" {
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job %s is %s, not done", job.ID, st),
-		})
-		return
-	}
-	s.streamResult(w, r, job)
 }
 
 // handleMetrics serves the registry — JSON by default, Prometheus text

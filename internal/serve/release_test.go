@@ -285,7 +285,7 @@ func TestReleasedReaderEvictionRace(t *testing.T) {
 	if err := os.WriteFile(kept.ckpt, bytes.Join(lines[:len(lines)-2], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/result", "/result?follow=1", "/checkpoint?follow=1&from=0"} {
+	for _, path := range []string{"/result", "/result?follow=1", "/checkpoint", "/checkpoint?follow=1&from=0"} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+kept.ID+path, nil))
 		wantJSONError("short "+path, http.StatusInternalServerError, rec)

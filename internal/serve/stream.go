@@ -1,18 +1,20 @@
 package serve
 
-// Live result streaming: the poll-then-fetch API (GET /jobs/{id} until
-// done, then GET /jobs/{id}/result) gains two streaming views of a job that
-// is still running. `GET /jobs/{id}/result?follow=1` answers a chunked CSV
-// whose rows appear as scenarios complete, emitted in scenario-ID order so
-// the stream is a byte-prefix of — and, once the job finishes, byte-identical
-// to — the terminal CSV dump. `GET /jobs/{id}/events` answers Server-Sent
-// Events bridged from the obs span stream: the handler subscribes to the
-// server's trace broadcast, walks the job's span tree (the job span opened
-// at admission is the root), and forwards scenario/strategy span lifecycle
-// and typed-failure events, folding the per-evaluation firehose into a memo
-// hit-rate summary on a periodic progress event.
+// Record and event streaming. Both record routes, GET /jobs/{id}/result (the
+// pool CSV) and GET /jobs/{id}/checkpoint (the checkpoint NDJSON the fan-out
+// coordinator merges), answer through one loop, serveRecords, plain for a
+// done job or live with ?follow=1: records are emitted in scenario-ID order
+// as they complete, so a followed stream is a byte-prefix of, and once the
+// job finishes byte-identical to, the plain response. `GET
+// /jobs/{id}/events` answers Server-Sent Events bridged from the obs span
+// stream: the handler subscribes to the server's trace broadcast, walks the
+// job's span tree (the job span opened at admission is the root), and
+// forwards scenario/strategy span lifecycle and typed-failure events,
+// folding the per-evaluation firehose into a memo hit-rate summary on a
+// periodic progress event.
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -20,7 +22,6 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -28,8 +29,8 @@ import (
 )
 
 // trailerJobState is the HTTP trailer carrying the job's state when a
-// followed result stream ends, so a client can tell a complete CSV (done)
-// from one truncated by a failure or drain without re-polling the status.
+// record stream ends, so a client can tell a complete body (done) from one
+// truncated by a failure or drain without re-polling the status.
 const trailerJobState = "X-Dfs-Job-State"
 
 // sseProgressInterval paces the synthesized progress events of an SSE
@@ -48,124 +49,32 @@ var (
 // fan-out's liveness watchdog) can tighten it.
 var checkpointKeepalive = 2 * time.Second
 
-// streamResult answers GET /jobs/{id}/result: a chunked CSV of completed
-// records emitted in scenario-ID order as they become available, ending
-// when the job reaches a terminal (or drained) state or the server drains.
-// The job state at stream end is declared in the X-Dfs-Job-State trailer.
-// On a done job it writes the whole result at once, which is how the plain
-// GET answers.
+// streamResult answers GET /jobs/{id}/result: the pool CSV, rendered by
+// bench.WriteRecordCSV, so a finished stream is byte-identical to the
+// whole-pool dump.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, job *Job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})
-		return
-	}
-	src, detach, err := job.reader()
-	if err != nil {
-		s.readBackFailed(w, job, err)
-		return
-	}
-	defer detach()
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Trailer", trailerJobState)
-	cw := csv.NewWriter(w)
-	if err := cw.Write(bench.PoolCSVHeader()); err != nil {
-		return
-	}
+	var rows bytes.Buffer
+	cw := csv.NewWriter(&rows)
+	_ = cw.Write(bench.PoolCSVHeader()) // into a bytes.Buffer: cannot fail
 	cw.Flush()
-	fl.Flush()
-	next := 0
-	for {
-		// Grab the wait channel before snapshotting, so a record landing
-		// between the snapshot and the wait wakes the next iteration.
-		ch := src.changed()
-		recs, n, state := src.availableFrom(next)
-		next = n
-		for _, rec := range recs {
-			if err := bench.WriteRecordCSV(cw, rec); err != nil {
-				// Same contract as the whole-pool dump: a record that cannot
-				// render aborts the response so the client sees a truncated
-				// body, never a silently short CSV.
-				s.cfg.Logf("serve: result stream %s: %v", job.ID, err)
-				panic(http.ErrAbortHandler)
-			}
-		}
+	s.serveRecords(w, r, job, "text/csv", bytes.Clone(rows.Bytes()), 0, 0, func(rec *bench.Record) ([]byte, error) {
+		rows.Reset()
+		err := bench.WriteRecordCSV(cw, rec)
 		cw.Flush()
-		if cw.Error() != nil {
-			return // client went away
-		}
-		fl.Flush()
-		if s.streamEnded(state) {
-			w.Header().Set(trailerJobState, string(state))
-			return
-		}
-		select {
-		case <-ch:
-		case <-s.drained:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return rows.Bytes(), err
+	})
 }
 
-// handleCheckpoint serves a job's checkpoint in the JSONL transfer format
-// the fan-out coordinator reassembles pools from. Without ?follow it copies
-// the completed job's raw checkpoint file (done jobs only); with ?follow=1
-// it streams the same format live — the header line first, then one record
-// line per completed scenario in contiguous scenario-ID order as they land,
-// blank-line keepalives while idle, ending (when the job does or the server
-// drains) with the job's state in the X-Dfs-Job-State trailer. The followed
-// stream is how the coordinator fills its own checkpoint in record-sized
-// steps while shards are still running; &from=<scenario id> starts it at
-// the first of the job's scenarios at or past that ID, so a broken stream
-// re-attaches where it left off.
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	if r.URL.Query().Get("follow") != "" {
-		s.streamCheckpoint(w, r, job)
-		return
-	}
-	if job.State() != StateDone {
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job %s is %s, not done", job.ID, job.State()),
-		})
-		return
-	}
-	f, err := os.Open(job.ckpt)
-	if err != nil {
-		s.readBackFailed(w, job, err)
-		return
-	}
-	defer f.Close()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := io.Copy(w, f); err != nil {
-		panic(http.ErrAbortHandler)
-	}
-}
-
-// readBackFailed answers a request whose job's checkpoint does not read
-// back whole with a JSON error, before any byte of the body: 410 when the
-// file is gone (the job was evicted under the request), else 500.
-func (s *Server) readBackFailed(w http.ResponseWriter, job *Job, err error) {
-	s.cfg.Logf("serve: checkpoint %s: %v", job.ID, err)
-	if errors.Is(err, fs.ErrNotExist) {
-		writeJSON(w, http.StatusGone, errorBody{Error: fmt.Sprintf("job %s was evicted", job.ID)})
-		return
-	}
-	writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint unreadable"})
-}
-
-// streamCheckpoint answers GET /jobs/{id}/checkpoint?follow=1[&from=<id>]:
-// a live NDJSON rendering of the job's checkpoint. The record lines are
-// marshaled from the same Records the checkpoint file holds, so a completed
-// stream parses to the identical record set. from must be a scenario ID in
-// [0, scenarios]; anything else answers 400.
+// streamCheckpoint answers GET /jobs/{id}/checkpoint: the NDJSON transfer
+// format the fan-out coordinator merges, the canonical header line of the
+// job's config and then one line per record, marshaled from the Records
+// the checkpoint file holds, so it parses (bench.ReadCheckpoint) to the
+// same record set. A followed stream heartbeats blank lines while idle.
+// &from=<id> starts it at the first of the job's scenarios at or past id,
+// so a broken stream re-attaches where it left off; a cursor that is not a
+// scenario ID in [0, scenarios] answers 400.
 func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *Job) {
-	next := 0
+	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > job.Spec.Scenarios {
@@ -175,50 +84,82 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 			})
 			return
 		}
-		next = n
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})
-		return
+		from = n
 	}
 	hdr, err := bench.EncodeCheckpointHeader(job.Spec.benchConfig(s.cfg, job.ID))
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint header: " + err.Error()})
 		return
 	}
+	s.serveRecords(w, r, job, "application/x-ndjson", hdr, from, checkpointKeepalive, func(rec *bench.Record) ([]byte, error) {
+		line, err := json.Marshal(rec)
+		return append(line, '\n'), err
+	})
+}
+
+// serveRecords is the one loop behind every record response. It attaches
+// to the job's records and writes head, then each contiguous run of
+// completed records from scenario from on (in scenario-ID order, skipping
+// IDs outside the job's shard), rendered by encode (whose bytes stay valid
+// until its next call), one write and flush per run, until the job ends or
+// the server drains; the job's state then goes in the X-Dfs-Job-State
+// trailer. A plain request answers 409 unless the job is done, and then
+// at once. While a followed job is idle it writes a blank line every
+// keepalive (0 sends none). A checkpoint that does not read back whole
+// answers a JSON error before any body byte: 410 when the file is gone
+// (the job was evicted under the request), else 500. A record that cannot
+// render aborts the response: the client sees a truncated body, never a
+// silently short one.
+func (s *Server) serveRecords(w http.ResponseWriter, r *http.Request, job *Job,
+	contentType string, head []byte, from int, keepalive time.Duration, encode func(*bench.Record) ([]byte, error)) {
+	if st := job.State(); st != StateDone && r.URL.Query().Get("follow") == "" {
+		writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf("job %s is %s, not done", job.ID, st)})
+		return
+	}
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})
+		return
+	}
 	src, detach, err := job.reader()
 	if err != nil {
-		s.readBackFailed(w, job, err)
+		s.cfg.Logf("serve: checkpoint %s: %v", job.ID, err)
+		if errors.Is(err, fs.ErrNotExist) {
+			writeJSON(w, http.StatusGone, errorBody{Error: fmt.Sprintf("job %s was evicted", job.ID)})
+		} else {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "checkpoint unreadable"})
+		}
 		return
 	}
 	defer detach()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Trailer", trailerJobState)
-	if _, err := w.Write(hdr); err != nil {
-		return
+	var beat <-chan time.Time
+	if keepalive > 0 {
+		t := time.NewTicker(keepalive)
+		defer t.Stop()
+		beat = t.C
 	}
-	fl.Flush()
-	keep := time.NewTicker(checkpointKeepalive)
-	defer keep.Stop()
+	var batch bytes.Buffer
+	batch.Write(head)
 	for {
 		// Grab the wait channel before snapshotting, so a record landing
 		// between the snapshot and the wait wakes the next iteration.
 		ch := src.changed()
-		recs, n, state := src.availableFrom(next)
-		next = n
+		recs, next, state := src.availableFrom(from)
+		from = next
 		for _, rec := range recs {
-			line, err := json.Marshal(rec)
+			b, err := encode(rec)
 			if err != nil {
-				// Same contract as the CSV stream: abort so the client sees a
-				// truncated body, never a silently short checkpoint.
-				s.cfg.Logf("serve: checkpoint stream %s: %v", job.ID, err)
+				s.cfg.Logf("serve: record stream %s: %v", job.ID, err)
 				panic(http.ErrAbortHandler)
 			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return
-			}
+			batch.Write(b)
 		}
+		if _, err := w.Write(batch.Bytes()); err != nil {
+			return // client went away
+		}
+		batch.Reset()
 		fl.Flush()
 		if s.streamEnded(state) {
 			w.Header().Set(trailerJobState, string(state))
@@ -227,11 +168,8 @@ func (s *Server) streamCheckpoint(w http.ResponseWriter, r *http.Request, job *J
 		select {
 		case <-ch:
 		case <-s.drained:
-		case <-keep.C:
-			if _, err := w.Write([]byte("\n")); err != nil {
-				return
-			}
-			fl.Flush()
+		case <-beat:
+			batch.WriteByte('\n')
 		case <-r.Context().Done():
 			return
 		}
@@ -277,12 +215,7 @@ type progressEvent struct {
 //
 // Per-evaluation events are counted into the progress summary instead of
 // being forwarded. The stream ends shortly after the job turns terminal.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, job *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by this connection"})

@@ -551,7 +551,8 @@ func TestEventsSSEDisconnect(t *testing.T) {
 
 // TestCheckpointEndpoint guards the shard-transfer endpoint: 409 while the
 // job runs, and once done, a byte stream that parses as a complete
-// checkpoint for the job's config.
+// checkpoint for the job's config and is, byte for byte and trailer too,
+// the job's followed stream.
 func TestCheckpointEndpoint(t *testing.T) {
 	ref := refPool(t)
 	gate := make(chan struct{})
@@ -593,6 +594,21 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 	if cfg.Scenarios != streamSpec.Scenarios || len(records) != streamSpec.Scenarios {
 		t.Fatalf("downloaded checkpoint has %d records for %d scenarios", len(records), cfg.Scenarios)
+	}
+	if got := resp.Trailer.Get(trailerJobState); got != string(StateDone) {
+		t.Fatalf("download trailer %s = %q, want %q", trailerJobState, got, StateDone)
+	}
+	follow, err := http.Get(ts.URL + "/jobs/" + st.ID + "/checkpoint?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	followed, err := io.ReadAll(follow.Body)
+	follow.Body.Close()
+	if err != nil || follow.StatusCode != http.StatusOK {
+		t.Fatalf("followed checkpoint: code %d, err %v", follow.StatusCode, err)
+	}
+	if !bytes.Equal(body, followed) {
+		t.Fatalf("plain download differs from the followed stream:\n%s\nvs\n%s", body, followed)
 	}
 }
 
