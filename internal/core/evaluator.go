@@ -12,6 +12,7 @@ import (
 	"github.com/declarative-fs/dfs/internal/metrics"
 	"github.com/declarative-fs/dfs/internal/model"
 	"github.com/declarative-fs/dfs/internal/privacy"
+	"github.com/declarative-fs/dfs/internal/ranking"
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
@@ -169,6 +170,20 @@ func (ev *Evaluator) storeRanking(mask []bool, family string, scores []float64, 
 		key = string(ev.maskKeyBytes(mask))
 	}
 	ev.shared.PutRanking(key, family, ev.seed, scores, usedPermutation)
+}
+
+// computeRanking runs r on train once neither the shared memo nor the
+// durable tier could serve the ranking. An observed evaluator times it into
+// rank.seconds.<family>, beside train.seconds.<kind>; a served ranking
+// records nothing.
+func (ev *Evaluator) computeRanking(r ranking.Ranker, train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
+	if ev.obsv == nil {
+		return r.Rank(train, rng)
+	}
+	start := time.Now()
+	scores, err := r.Rank(train, rng)
+	ev.obsv.metrics.Histogram("rank.seconds." + string(r.Family())).Observe(time.Since(start).Seconds())
+	return scores, err
 }
 
 // SetPruning toggles the evaluation-independent feature-cap pruning

@@ -10,6 +10,7 @@ import (
 
 	"github.com/declarative-fs/dfs/internal/budget"
 	"github.com/declarative-fs/dfs/internal/constraint"
+	"github.com/declarative-fs/dfs/internal/evalstore"
 	"github.com/declarative-fs/dfs/internal/obs"
 )
 
@@ -91,6 +92,40 @@ func TestObservedRunMatchesBareRun(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no trace emitted")
+	}
+}
+
+// TestRankingTimeOnlyWhenComputed: an observed TPE(MCFS) run times the one
+// ranking it computes into rank.seconds.mcfs, and a rerun that replays the
+// ranking from a warm durable store records no sample.
+func TestRankingTimeOnlyWhenComputed(t *testing.T) {
+	scn := memoScenario(t, memoConstraintSets()["plain"])
+	s, err := New("TPE(MCFS)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	samples := func(tag string) int64 {
+		store, err := evalstore.Open(dir, evalstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo := NewSharedMemo()
+		memo.AttachDurable(store, scn.ContentHash())
+		rt := obs.New()
+		if _, err := RunStrategy(obs.NewContext(context.Background(), rt), s, scn, nil, memo, 11, 30); err != nil {
+			t.Fatalf("%s run: %v", tag, err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Metrics().Snapshot().Histograms["rank.seconds.mcfs"].Count
+	}
+	if got := samples("cold"); got != 1 {
+		t.Fatalf("cold run: rank.seconds.mcfs has %d samples, want 1", got)
+	}
+	if got := samples("warm"); got != 0 {
+		t.Fatalf("warm run: rank.seconds.mcfs has %d samples, want 0", got)
 	}
 }
 

@@ -38,6 +38,11 @@ type evalObs struct {
 	charges    *obs.Counter
 	chargeCost *obs.Histogram
 	trainTime  *obs.Histogram
+
+	// metrics resolves rank.seconds.<family> when a ranking is computed:
+	// once per ranking strategy and once per RFE step, off the evaluation
+	// hot path.
+	metrics *obs.Registry
 }
 
 func newEvalObs(rt *obs.Runtime, span obs.SpanID, kind string) *evalObs {
@@ -60,6 +65,7 @@ func newEvalObs(rt *obs.Runtime, span obs.SpanID, kind string) *evalObs {
 		charges:     m.Counter("budget.charges"),
 		chargeCost:  m.Histogram("budget.charge_cost"),
 		trainTime:   m.Histogram("train.seconds." + kind),
+		metrics:     m,
 	}
 }
 

@@ -164,7 +164,7 @@ func (s topK) Run(ev *Evaluator, rng *xrand.RNG) error {
 	scores, _, hit := ev.sharedRanking(nil, string(s.ranker.Family()))
 	if !hit {
 		var err error
-		scores, err = s.ranker.Rank(ev.Scenario().Split.Train, rankRNG)
+		scores, err = ev.computeRanking(s.ranker, ev.Scenario().Split.Train, rankRNG)
 		if err != nil {
 			return err
 		}
@@ -218,7 +218,7 @@ func (rfeStrategy) Run(ev *Evaluator, rng *xrand.RNG) error {
 			// selection cache serves the feature-selected view without a copy.
 			sub := ev.TrainView(mask, sel)
 			var err error
-			scores, err = imp.Rank(sub, rankRNG)
+			scores, err = ev.computeRanking(imp, sub, rankRNG)
 			if err != nil {
 				return nil, err
 			}

@@ -6,52 +6,73 @@ import (
 	"sort"
 )
 
-// EigenSym computes the full eigendecomposition of the symmetric matrix a
-// using the cyclic Jacobi method. It returns the eigenvalues in ascending
-// order and the corresponding eigenvectors as the columns of the returned
-// matrix. The input is not modified.
+// EigenSym returns the k smallest eigenpairs of the symmetric n×n matrix a
+// by the cyclic Jacobi method, rotating a in place: on return a holds the
+// nearly diagonal rotated matrix, not the input. The eigenvalues come in
+// ascending order and the eigenvectors as the rows of a k×n matrix, row i
+// belonging to values[i]. The order is that of one sort over all n
+// eigenvalues, so tied eigenvalues keep the order of a full decomposition.
 //
-// Jacobi is O(n³) per sweep but unconditionally stable and dependency-free,
-// which is all the MCFS spectral embedding needs (graphs of at most a few
-// hundred nodes).
-func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
+// It returns an error before any rotation for a non-square matrix, k outside
+// [0, n], a NaN or ±Inf entry, or an asymmetric pair, and an error when 64
+// sweeps leave the off-diagonal mass above its tolerance.
+//
+// The solver works in two n×n buffers: a, and Vᵀ, the product of the
+// rotations kept row-major so that each eigenvector is a contiguous row. A
+// rotation updates two columns of a (strided), then two rows of a and of Vᵀ
+// (contiguous). Jacobi is O(n³) per sweep but unconditionally stable and
+// dependency-free, which is all the MCFS spectral embedding needs (graphs
+// of at most a few hundred nodes).
+func EigenSym(a *Matrix, k int) (values []float64, vectors *Matrix, err error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, nil, fmt.Errorf("linalg: EigenSym needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
+	if k < 0 || k > n {
+		return nil, nil, fmt.Errorf("linalg: EigenSym asked for %d eigenpairs of a %dx%d matrix", k, n, n)
+	}
+	w := a.Data
 	const symTol = 1e-8
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(a.At(i, j)-a.At(j, i)) > symTol*(1+math.Abs(a.At(i, j))) {
+		for j := i; j < n; j++ {
+			aij, aji := w[i*n+j], w[j*n+i]
+			if !finite(aij) || !finite(aji) {
+				return nil, nil, fmt.Errorf("linalg: EigenSym input not finite at (%d,%d)", i, j)
+			}
+			if math.Abs(aij-aji) > symTol*(1+math.Abs(aij)) {
 				return nil, nil, fmt.Errorf("linalg: EigenSym input not symmetric at (%d,%d)", i, j)
 			}
 		}
 	}
 
-	w := a.Clone()
-	v := NewMatrix(n, n)
+	vt := NewMatrix(n, n)
+	v := vt.Data
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		v[i*n+i] = 1
 	}
 
 	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	for sweep := 0; ; sweep++ {
 		off := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+			for _, aij := range w[i*n+i+1 : (i+1)*n] {
+				off += aij * aij
 			}
 		}
-		if off < 1e-22*float64(n*n) {
+		// off == 0 also covers n == 0, where the tolerance is 0 too.
+		if off == 0 || off < 1e-22*float64(n*n) {
 			break
+		}
+		if sweep == maxSweeps {
+			return nil, nil, fmt.Errorf("linalg: EigenSym did not converge in %d sweeps (off-diagonal mass %g)", maxSweeps, off)
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := w[p*n+q]
 				if math.Abs(apq) < 1e-300 {
 					continue
 				}
-				app, aqq := w.At(p, p), w.At(q, q)
+				app, aqq := w[p*n+p], w[q*n+q]
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
@@ -62,47 +83,50 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
 
-				// Rotate rows/columns p and q of w.
-				for k := 0; k < n; k++ {
-					akp, akq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*akp-s*akq)
-					w.Set(k, q, s*akp+c*akq)
+				// Rotate columns p and q of a, then rows p and q of a, and
+				// accumulate the rotation into rows p and q of Vᵀ.
+				for kp := p; kp < len(w); kp += n {
+					kq := kp + q - p
+					akp, akq := w[kp], w[kq]
+					w[kp] = c*akp - s*akq
+					w[kq] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk, aqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*apk-s*aqk)
-					w.Set(q, k, s*apk+c*aqk)
-				}
-				// Accumulate the rotation into the eigenvector matrix.
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
+				rotate(w[p*n:(p+1)*n], w[q*n:(q+1)*n], c, s)
+				rotate(v[p*n:(p+1)*n], v[q*n:(q+1)*n], c, s)
 			}
 		}
 	}
 
-	values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = w.At(i, i)
+	all := make([]float64, n)
+	for i := range all {
+		all[i] = w[i*n+i]
 	}
-	// Sort ascending and permute eigenvector columns to match.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool { return values[idx[i]] < values[idx[j]] })
-	sortedVals := make([]float64, n)
-	sortedVecs := NewMatrix(n, n)
-	for newCol, oldCol := range idx {
-		sortedVals[newCol] = values[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
-		}
+	sort.Slice(idx, func(i, j int) bool { return all[idx[i]] < all[idx[j]] })
+	values = make([]float64, k)
+	vectors = NewMatrix(k, n)
+	for r, i := range idx[:k] {
+		values[r] = all[i]
+		copy(vectors.Row(r), vt.Row(i))
 	}
-	return sortedVals, sortedVecs, nil
+	return values, vectors, nil
 }
+
+// rotate applies the plane rotation (c, s) to the rows x and y in place:
+// x, y = c·x − s·y, s·x + c·y.
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
+	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // LassoCD solves min_w 1/(2n)·||y − Xw||² + alpha·||w||₁ by cyclic
 // coordinate descent and returns the coefficient vector. X is n×p; columns

@@ -1,8 +1,8 @@
 // Package linalg provides the small dense linear-algebra substrate used by
-// the DFS system: a row-major matrix type, vector helpers, a symmetric
-// eigendecomposition (cyclic Jacobi) for the MCFS spectral embedding,
-// brute-force k-nearest-neighbour search for ReliefF and graph construction,
-// lasso regression via coordinate descent, and k-means clustering.
+// the DFS system: a row-major matrix type, vector helpers, an in-place
+// symmetric eigensolver (cyclic Jacobi) for the MCFS spectral embedding, a
+// bounded-heap k-nearest-neighbour search for ReliefF and the MCFS graph,
+// and lasso regression via coordinate descent.
 //
 // Everything is written against the Go standard library only and sized for
 // the workloads of the benchmark (matrices up to a few thousand rows and a

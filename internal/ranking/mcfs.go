@@ -29,10 +29,11 @@ type MCFS struct {
 }
 
 // EmbeddingError reports an MCFS spectral embedding that failed on the
-// sampled Laplacian (e.g. the eigendecomposition did not converge on a
-// near-singular matrix). The row sample is RNG-drawn, so a retry under a
-// perturbed seed builds a different graph; the error therefore reports
-// Transient() == true for the retry classification in internal/core.
+// sampled Laplacian: a non-finite entry, or an eigendecomposition that did
+// not converge within its sweep limit. The row sample is RNG-drawn, so a
+// retry under a perturbed seed builds a different graph; the error
+// therefore reports Transient() == true for the retry classification in
+// internal/core.
 type EmbeddingError struct {
 	Err error
 }
@@ -127,28 +128,35 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 		}
 	}
 
-	// Normalized Laplacian L = I − D^{-1/2} W D^{-1/2}.
+	// Normalized Laplacian L = I − D^{-1/2} W D^{-1/2}, written over w: once
+	// every degree is known, each entry reads only its own weight.
 	dInvSqrt := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d := 0.0
-		for l := 0; l < n; l++ {
-			d += w.At(i, l)
+		for _, a := range w.Row(i) {
+			d += a
 		}
 		if d > 0 {
 			dInvSqrt[i] = 1 / math.Sqrt(d)
 		}
 	}
-	lap := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for l := 0; l < n; l++ {
-			v := -dInvSqrt[i] * w.At(i, l) * dInvSqrt[l]
+		row := w.Row(i)
+		for l, a := range row {
+			v := -dInvSqrt[i] * a * dInvSqrt[l]
 			if i == l {
 				v += 1
 			}
-			lap.Set(i, l, v)
+			row[l] = v
 		}
 	}
-	_, vecs, err := linalg.EigenSym(lap)
+	// EigenSym rotates the Laplacian in place and returns the bottom
+	// eigenvectors as rows: the constant first one and the kDims after it.
+	nVecs := kDims + 1
+	if nVecs > n {
+		nVecs = n
+	}
+	_, vecs, err := linalg.EigenSym(w, nVecs)
 	if err != nil {
 		return nil, &EmbeddingError{Err: err}
 	}
@@ -156,9 +164,8 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	// Bottom kDims non-trivial eigenvectors (skip the constant first one),
 	// each regressed onto the features with lasso.
 	scores := make([]float64, p)
-	for k := 1; k <= kDims && k < n; k++ {
-		target := vecs.Col(k)
-		coef := linalg.LassoCD(x, target, alpha, 200, 1e-7)
+	for k := 1; k < vecs.Rows; k++ {
+		coef := linalg.LassoCD(x, vecs.Row(k), alpha, 200, 1e-7)
 		for j, c := range coef {
 			if a := math.Abs(c); a > scores[j] {
 				scores[j] = a
