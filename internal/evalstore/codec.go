@@ -95,18 +95,20 @@ func appendFloats(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// decodeSegment feeds put every record of one segment's bytes, in file
-// order, and reports whether damage stopped it early: a header line other
-// than headerLine (a foreign file or another version's segment), or a
-// complete frame whose checksum fails, whose fields fail to decode, or that
-// leaves bytes over. A torn tail — a partial header line, a partial frame
-// header, or a last frame that runs past the end — is the normal crash
-// signature, not damage: it is dropped silently.
-func decodeSegment(data []byte, put func(Key, Result)) (corrupt bool) {
+// scanSegment feeds fn every intact frame of one segment's bytes, in file
+// order, with its offset in data, its payload length and its parsed record,
+// and reports whether damage stopped it early: a header line other than
+// headerLine (a foreign file or another version's segment), or a complete
+// frame whose checksum fails, whose fields fail to decode or that leaves
+// bytes over. A torn tail — a partial header line, a partial frame header,
+// or a last frame that runs past the end — is the normal crash signature,
+// not damage: it is dropped silently.
+func scanSegment(data []byte, fn func(off int, n uint32, rec record)) (corrupt bool) {
 	if !bytes.HasPrefix(data, headerLine) {
 		return !bytes.HasPrefix(headerLine, data)
 	}
-	for rest := data[len(headerLine):]; len(rest) > 0; {
+	for off := len(headerLine); off < len(data); {
+		rest := data[off:]
 		if len(rest) < frameHeaderLen {
 			return false
 		}
@@ -120,14 +122,20 @@ func decodeSegment(data []byte, put func(Key, Result)) (corrupt bool) {
 		if crc32.Checksum(rest[:n], castagnoli) != sum {
 			return true
 		}
-		k, r, ok := decodeRecord(rest[:n])
+		rec, ok := parseRecord(rest[:n])
 		if !ok {
 			return true
 		}
-		put(k, r)
-		rest = rest[n:]
+		fn(off, n, rec)
+		off += frameHeaderLen + int(n)
 	}
 	return false
+}
+
+// decodeSegment feeds put every record of one segment's bytes, decoded, in
+// the order and under the damage rules of scanSegment.
+func decodeSegment(data []byte, put func(Key, Result)) (corrupt bool) {
+	return scanSegment(data, func(_ int, _ uint32, rec record) { put(rec.key(), rec.result()) })
 }
 
 // checksumPrefix reports whether some non-empty prefix of b has CRC-32C
@@ -142,30 +150,75 @@ func checksumPrefix(b []byte, sum uint32) bool {
 	return false
 }
 
-// decodeRecord decodes one frame payload, accepting exactly what
-// appendRecord writes: an unknown flag bit, a non-minimal or overlong
-// length, a non-finite value or a byte left over fails it. Mask, kind,
-// custom values and blob are copied out of p, so the index never pins a
-// segment's file buffer.
-func decodeRecord(p []byte) (k Key, r Result, ok bool) {
+// parseFrame checks one whole frame read back from a segment — its length
+// field against its size, then its checksum — and parses its payload.
+func parseFrame(frame []byte) (record, bool) {
+	if len(frame) < frameHeaderLen {
+		return record{}, false
+	}
+	p := frame[frameHeaderLen:]
+	if le.Uint32(frame) != uint32(len(p)) || crc32.Checksum(p, castagnoli) != le.Uint32(frame[4:]) {
+		return record{}, false
+	}
+	return parseRecord(p)
+}
+
+// record is one frame payload's fields. The variable-length ones are still
+// slices of the payload, custom values as their raw bits, so parsing one
+// allocates nothing; key and result copy them out.
+type record struct {
+	scenario, seed        uint64
+	eps                   float64
+	hpo, hasTest          bool
+	val, test             constraint.Scores
+	mask, kind            []byte
+	valCustom, testCustom []byte // 8 bytes per value
+	blob                  []byte
+}
+
+// parseRecord parses one frame payload, accepting exactly what appendRecord
+// writes: an unknown flag bit, a non-minimal or overlong length, a
+// non-finite value or a byte left over fails it.
+func parseRecord(p []byte) (rec record, ok bool) {
 	if len(p) < fixedLen {
-		return k, r, false
+		return rec, false
 	}
-	k.Scenario, k.Seed = le.Uint64(p), le.Uint64(p[8:])
-	k.Eps = math.Float64frombits(le.Uint64(p[16:]))
+	rec.scenario, rec.seed = le.Uint64(p), le.Uint64(p[8:])
+	rec.eps = math.Float64frombits(le.Uint64(p[16:]))
 	flags := p[24]
-	k.HPO, r.HasTest = flags&flagHPO != 0, flags&flagHasTest != 0
-	r.Val, r.Test = getScores(p[25:]), getScores(p[57:])
+	rec.hpo, rec.hasTest = flags&flagHPO != 0, flags&flagHasTest != 0
+	rec.val, rec.test = getScores(p[25:]), getScores(p[57:])
 	d := decoder{p: p[fixedLen:], ok: flags&^flagsKnown == 0 &&
-		finite(k.Eps) && finiteScores(r.Val) && finiteScores(r.Test)}
-	k.Mask = string(d.next(1))
-	k.Kind = string(d.next(1))
-	r.ValCustom = d.floats()
-	r.TestCustom = d.floats()
-	if b := d.next(1); len(b) > 0 {
-		r.Blob = bytes.Clone(b)
+		finite(rec.eps) && finiteScores(rec.val) && finiteScores(rec.test)}
+	rec.mask = d.next(1)
+	rec.kind = d.next(1)
+	rec.valCustom = d.floats()
+	rec.testCustom = d.floats()
+	rec.blob = d.next(1)
+	return rec, d.ok && len(d.p) == 0
+}
+
+// is reports whether the record is stored under k.
+func (rec *record) is(k Key) bool {
+	return rec.scenario == k.Scenario && rec.seed == k.Seed && rec.eps == k.Eps && rec.hpo == k.HPO &&
+		string(rec.mask) == k.Mask && string(rec.kind) == k.Kind
+}
+
+func (rec *record) key() Key {
+	return Key{Scenario: rec.scenario, Mask: string(rec.mask), Kind: string(rec.kind), HPO: rec.hpo, Eps: rec.eps, Seed: rec.seed}
+}
+
+// result copies the record's result out of the payload, so it never pins a
+// read buffer: one allocation per non-empty custom-value list or blob.
+func (rec *record) result() Result {
+	r := Result{
+		Val: rec.val, ValCustom: floatsOf(rec.valCustom),
+		Test: rec.test, TestCustom: floatsOf(rec.testCustom), HasTest: rec.hasTest,
 	}
-	return k, r, d.ok && len(d.p) == 0
+	if len(rec.blob) > 0 {
+		r.Blob = bytes.Clone(rec.blob)
+	}
+	return r
 }
 
 func getScores(p []byte) constraint.Scores {
@@ -196,17 +249,25 @@ func (d *decoder) next(size int) []byte {
 	return b
 }
 
-func (d *decoder) floats() []float64 {
+// floats returns a custom-value list's bits, failing on a non-finite value.
+func (d *decoder) floats() []byte {
 	b := d.next(8)
+	for i := 0; i < len(b); i += 8 {
+		if !finite(math.Float64frombits(le.Uint64(b[i:]))) {
+			d.ok = false
+			return nil
+		}
+	}
+	return b
+}
+
+func floatsOf(b []byte) []float64 {
 	if len(b) == 0 {
 		return nil
 	}
 	vs := make([]float64, len(b)/8)
 	for i := range vs {
 		vs[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-	}
-	if !allFinite(vs) {
-		d.ok = false
 	}
 	return vs
 }

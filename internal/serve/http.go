@@ -169,10 +169,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, job *Job) 
 
 // handleMetrics serves the registry — JSON by default, Prometheus text
 // exposition with ?format=prom — refreshing the scrape-time gauges (oldest
-// queued job age, eval-store sizes) first so a scraper always reads a
-// current value without the hot path maintaining one.
+// queued job age, eval-store sizes, and the process.* gauges) first so a
+// scraper always reads a current value without the hot path maintaining
+// one. Only a scrape reads /proc for the process gauges; /healthz, which
+// probes poll, does not.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.syncScrapeGauges(time.Now())
+	obs.SyncProcessGauges(s.rt.Metrics())
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		_ = s.rt.Metrics().WriteProm(w)

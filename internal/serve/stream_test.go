@@ -686,3 +686,44 @@ func TestHealthRefreshesScrapeGauges(t *testing.T) {
 		t.Fatalf("oldest_age_seconds = %d after /healthz with a 1.1s-old queued job; /healthz did not refresh scrape gauges", age)
 	}
 }
+
+// TestMetricsProcessGauges pins the process gauges: GET /metrics refreshes
+// them (resident set and open descriptors where /proc exists), while
+// /healthz, which probes poll, leaves them alone.
+func TestMetricsProcessGauges(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1, EvalStore: t.TempDir()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: code %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	get("/healthz")
+	if _, ok := srv.rt.Metrics().Snapshot().Gauges["process.goroutines"]; ok {
+		t.Fatal("/healthz refreshed the process gauges")
+	}
+	runtime.GC() // the live heap is what the last collection measured
+	var snap obs.Snapshot
+	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"process.heap_live_bytes": 1, "process.goroutines": 1}
+	if runtime.GOOS == "linux" {
+		want["process.resident_bytes"] = 1
+		want["process.open_fds"] = 3
+	}
+	for name, least := range want {
+		if v, ok := snap.Gauges[name]; !ok || v < least {
+			t.Errorf("%s = %d (present %v), want at least %d", name, v, ok, least)
+		}
+	}
+}
