@@ -28,7 +28,7 @@ dfsperf:
 	cd cmd/dfsperf && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -short ./...
 
 # bench runs the top-level Benchmark* functions plus the numeric-kernel,
-# evasion-attack, fan-out scheduling, evaluation-store and
+# search-driver, evasion-attack, fan-out scheduling, evaluation-store and
 # dataset-materialization micro-benchmarks and appends the parsed results
 # (name, ns/op, B/op, allocs/op) as one entry to dev/bench/data.js, the
 # repo's one benchmark trajectory (github-action-benchmark format). Override
@@ -36,8 +36,8 @@ dfsperf:
 # to label the entry, e.g. `make bench GIT_MSG='after memo rework'`.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ \
-		. ./internal/linalg ./internal/ranking ./internal/model ./internal/attack ./internal/serve \
-		./internal/evalstore ./internal/synth ./internal/dataset \
+		. ./internal/linalg ./internal/ranking ./internal/model ./internal/search ./internal/attack \
+		./internal/serve ./internal/evalstore ./internal/synth ./internal/dataset \
 		| $(GO) run ./cmd/benchjson -gha dev/bench/data.js \
 			-commit "$(GIT_SHA)" -commit-message "$(GIT_MSG)"
 
@@ -49,8 +49,8 @@ bench:
 # they are tracked for trajectory but exempt from the gate.
 bench-compare:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ \
-		. ./internal/linalg ./internal/ranking ./internal/model ./internal/attack ./internal/serve \
-		./internal/evalstore ./internal/synth ./internal/dataset \
+		. ./internal/linalg ./internal/ranking ./internal/model ./internal/search ./internal/attack \
+		./internal/serve ./internal/evalstore ./internal/synth ./internal/dataset \
 		| $(GO) run ./cmd/benchjson -compare dev/bench/data.js -compare-skip '^BenchmarkFanout'
 
 # dfsd builds the selection-service daemon (see README "Serving").

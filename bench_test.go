@@ -2,7 +2,9 @@ package dfs
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (§6). Each benchmark regenerates its experiment on a scaled-down scenario
-// pool per iteration; run the full-scale versions with cmd/benchmark.
+// pool per iteration; run the full-scale versions with cmd/benchmark. Every
+// iteration of a benchmark runs under the same seed, so the work of one op
+// does not depend on -benchtime.
 //
 //	go test -bench=. -benchmem
 
@@ -67,8 +69,8 @@ func pools(b *testing.B) (*bench.Pool, *bench.Pool, *bench.Pool) {
 func BenchmarkScenarioPool(b *testing.B) {
 	cfg := benchConfig(core.ModeSatisfy, false)
 	cfg.Scenarios = 2
+	cfg.Seed = 1
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
 		if _, err := bench.BuildPool(cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -82,36 +84,30 @@ func BenchmarkScenarioPool(b *testing.B) {
 func BenchmarkScenarioPoolWarmStore(b *testing.B) {
 	cfg := benchConfig(core.ModeSatisfy, false)
 	cfg.Scenarios = 2
+	cfg.Seed = 1
 	dir := b.TempDir()
 	ctx := context.Background()
 
-	// Populate the store with every seed the timed loop will replay.
-	warm := func(seed uint64) {
-		cfg.Seed = seed
-		store, err := evalstore.Open(dir, evalstore.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bench.BuildPoolResumed(ctx, cfg, bench.RunOptions{Store: store}); err != nil {
-			store.Close()
-			b.Fatal(err)
-		}
-		if err := store.Close(); err != nil {
-			b.Fatal(err)
-		}
+	// Populate the store with the build the timed loop replays.
+	store, err := evalstore.Open(dir, evalstore.Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		warm(uint64(i + 1))
+	if _, err := bench.BuildPoolResumed(ctx, cfg, bench.RunOptions{Store: store}); err != nil {
+		store.Close()
+		b.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
 	}
 
-	store, err := evalstore.Open(dir, evalstore.Options{})
+	store, err = evalstore.Open(dir, evalstore.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
 		if _, err := bench.BuildPoolResumed(ctx, cfg, bench.RunOptions{Store: store}); err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +202,7 @@ func BenchmarkTable9(b *testing.B) {
 // random feature subsets on COMPAS across LR, NB, and DT.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure1(6, uint64(i+1)); err != nil {
+		if _, err := bench.Figure1(6, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +227,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := bench.Figure5(bench.Figure5Config{
-			GridN: 2, Budget: 300, MaxEvals: 10, Dataset: "COMPAS", Seed: uint64(i + 1),
+			GridN: 2, Budget: 300, MaxEvals: 10, Dataset: "COMPAS", Seed: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -243,7 +239,7 @@ func BenchmarkFigure5(b *testing.B) {
 // ablation (DESIGN.md design choice, Table 1 semantics).
 func BenchmarkAblationPruning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.PruningAblation("COMPAS", 2, uint64(i+1)); err != nil {
+		if _, err := bench.PruningAblation("COMPAS", 2, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +249,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 // (SFS vs SFFS, SBS vs SBFS).
 func BenchmarkAblationFloating(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.FloatingAblation("COMPAS", 2, uint64(i+1)); err != nil {
+		if _, err := bench.FloatingAblation("COMPAS", 2, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +258,7 @@ func BenchmarkAblationFloating(b *testing.B) {
 // BenchmarkAblationTPE measures TPE-guided vs random top-k search.
 func BenchmarkAblationTPE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.TPEAblation("COMPAS", 2, uint64(i+1)); err != nil {
+		if _, err := bench.TPEAblation("COMPAS", 2, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +273,7 @@ func BenchmarkSelect(b *testing.B) {
 	cs := Constraints{MinF1: 0.6, MaxSearchCost: 500, MaxFeatureFrac: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Select(d, LR, cs, WithSeed(uint64(i+1)), WithMaxEvaluations(30)); err != nil {
+		if _, err := Select(d, LR, cs, WithSeed(1), WithMaxEvaluations(30)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,27 +21,17 @@ import (
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
-// Config tunes the attack's query budget.
-type Config struct {
-	// Iterations is the number of boundary-refinement rounds.
-	Iterations int
-	// GradSamples is the number of Monte-Carlo sign queries per gradient
+// The attack's query budget: small enough to evaluate inside a
+// feature-selection loop, large enough to flip fragile models.
+const (
+	// iterations is the number of boundary-refinement rounds.
+	iterations = 3
+	// gradSamples is the number of Monte-Carlo sign queries per gradient
 	// estimate.
-	GradSamples int
-	// BinarySearchSteps bounds each bisection toward the boundary.
-	BinarySearchSteps int
-	// MaxDist is the L2 distance at which an adversarial example still
-	// counts as an attack success; beyond it the perturbation is considered
-	// too conspicuous. Zero means unlimited.
-	MaxDist float64
-}
-
-// DefaultConfig returns the budget used by the benchmark: small enough to
-// evaluate inside a feature-selection loop, large enough to flip fragile
-// models.
-func DefaultConfig() Config {
-	return Config{Iterations: 3, GradSamples: 12, BinarySearchSteps: 10, MaxDist: 0}
-}
+	gradSamples = 12
+	// bisectSteps bounds each bisection toward the boundary.
+	bisectSteps = 10
+)
 
 // Result describes one attacked instance.
 type Result struct {
@@ -49,7 +39,7 @@ type Result struct {
 	// of the opposite class existed).
 	Adversarial []float64
 	// Success reports whether the model misclassifies Adversarial relative
-	// to its original prediction (within MaxDist, when set).
+	// to its original prediction.
 	Success bool
 	// Queries counts Predict calls spent.
 	Queries int
@@ -58,14 +48,14 @@ type Result struct {
 // Attack perturbs instance x so that clf's prediction flips. pool provides
 // starting points (any instance predicted differently than x); typically the
 // rest of the test set.
-func Attack(clf model.Classifier, x []float64, pool *linalg.Matrix, cfg Config, rng *xrand.RNG) Result {
-	return newWorkspace(len(x)).attack(clf, x, pool, cfg, rng)
+func Attack(clf model.Classifier, x []float64, pool *linalg.Matrix, rng *xrand.RNG) Result {
+	return newWorkspace(len(x)).attack(clf, x, pool, rng)
 }
 
 // EmpiricalRobustness attacks up to maxInstances rows of test and returns
 // the paper's safety score 1 − (F1_original − F1_attacked) computed over the
 // attacked subset, plus the total number of model queries spent.
-func EmpiricalRobustness(clf model.Classifier, test *dataset.Dataset, maxInstances int, cfg Config, rng *xrand.RNG) (safety float64, queries int) {
+func EmpiricalRobustness(clf model.Classifier, test *dataset.Dataset, maxInstances int, rng *xrand.RNG) (safety float64, queries int) {
 	n := test.Rows()
 	if n == 0 {
 		return 1, 0
@@ -83,7 +73,7 @@ func EmpiricalRobustness(clf model.Classifier, test *dataset.Dataset, maxInstanc
 		row := test.X.Row(i)
 		yTrue[pos] = test.Y[i]
 		yOrig[pos] = clf.Predict(row)
-		res := ws.attack(clf, row, test.X, cfg, rng)
+		res := ws.attack(clf, row, test.X, rng)
 		queries += res.Queries
 		if res.Success {
 			yAtt[pos] = clf.Predict(res.Adversarial)
@@ -118,7 +108,7 @@ func newWorkspace(dim int) *workspace {
 
 // attack runs Attack in w. The returned Adversarial aliases w.adv, so it is
 // valid until w's next attack.
-func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matrix, cfg Config, rng *xrand.RNG) Result {
+func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matrix, rng *xrand.RNG) Result {
 	q := querier{clf: clf}
 	orig := q.predict(x)
 
@@ -135,9 +125,9 @@ func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matri
 		return Result{Queries: q.count}
 	}
 
-	q.bisect(x, w.adv, w.lo, w.mid, orig, cfg.BinarySearchSteps)
+	q.bisect(x, w.adv, w.lo, w.mid, orig)
 	dim := len(x)
-	for it := 0; it < cfg.Iterations; it++ {
+	for it := 0; it < iterations; it++ {
 		// Estimate the boundary normal via Monte-Carlo sign queries.
 		delta := w.dist(x) / math.Sqrt(float64(dim)+1)
 		if delta <= 0 {
@@ -145,7 +135,7 @@ func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matri
 		}
 		grad, u, probe := w.grad, w.u, w.mid
 		clear(grad)
-		for s := 0; s < cfg.GradSamples; s++ {
+		for s := 0; s < gradSamples; s++ {
 			for j := range u {
 				u[j] = rng.Norm()
 			}
@@ -186,13 +176,10 @@ func (w *workspace) attack(clf model.Classifier, x []float64, pool *linalg.Matri
 		if !moved {
 			break
 		}
-		q.bisect(x, w.adv, w.lo, w.mid, orig, cfg.BinarySearchSteps)
+		q.bisect(x, w.adv, w.lo, w.mid, orig)
 	}
 
 	success := q.predict(w.adv) != orig
-	if success && cfg.MaxDist > 0 && w.dist(x) > cfg.MaxDist {
-		success = false
-	}
 	return Result{Adversarial: w.adv, Success: success, Queries: q.count}
 }
 
@@ -214,11 +201,12 @@ func (q *querier) predict(x []float64) int {
 	return q.clf.Predict(x)
 }
 
-// bisect walks the segment [x, adv] to the boundary, leaving in adv the
-// point on the adversarial side; lo and mid are scratch of len(x).
-func (q *querier) bisect(x, adv, lo, mid []float64, orig int, steps int) {
+// bisect walks the segment [x, adv] to the boundary in bisectSteps halvings,
+// leaving in adv the point on the adversarial side; lo and mid are scratch
+// of len(x).
+func (q *querier) bisect(x, adv, lo, mid []float64, orig int) {
 	copy(lo, x) // original side; adv is the adversarial side
-	for s := 0; s < steps; s++ {
+	for s := 0; s < bisectSteps; s++ {
 		for j := range mid {
 			mid[j] = (lo[j] + adv[j]) / 2
 		}

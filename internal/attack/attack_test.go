@@ -42,7 +42,7 @@ func TestAttackFlipsThresholdModel(t *testing.T) {
 	clf := thresholdClf{}
 	x := []float64{0.9, 0.3}
 	pool := poolAround([]float64{0.1, 0.5})
-	res := Attack(clf, x, pool, DefaultConfig(), xrand.New(1))
+	res := Attack(clf, x, pool, xrand.New(1))
 	if !res.Success {
 		t.Fatal("attack failed on a trivial boundary")
 	}
@@ -58,7 +58,7 @@ func TestAttackFindsSmallPerturbation(t *testing.T) {
 	clf := thresholdClf{}
 	x := []float64{0.9, 0.3}
 	pool := poolAround([]float64{0.0, 0.9})
-	res := Attack(clf, x, pool, DefaultConfig(), xrand.New(2))
+	res := Attack(clf, x, pool, xrand.New(2))
 	if !res.Success {
 		t.Fatal("attack failed")
 	}
@@ -75,21 +75,9 @@ func TestAttackFailsWithoutOppositeExample(t *testing.T) {
 	clf := constClf{label: 1}
 	x := []float64{0.5, 0.5}
 	pool := poolAround([]float64{0.1, 0.1}, []float64{0.9, 0.9})
-	res := Attack(clf, x, pool, DefaultConfig(), xrand.New(3))
+	res := Attack(clf, x, pool, xrand.New(3))
 	if res.Success || res.Adversarial != nil {
 		t.Fatal("attack against a constant classifier must fail")
-	}
-}
-
-func TestAttackRespectsMaxDist(t *testing.T) {
-	clf := thresholdClf{}
-	x := []float64{1.0, 0.0}
-	pool := poolAround([]float64{0.0, 1.0})
-	cfg := DefaultConfig()
-	cfg.MaxDist = 0.01 // boundary is 0.5 away — unreachable within 0.01
-	res := Attack(clf, x, pool, cfg, xrand.New(4))
-	if res.Success {
-		t.Fatal("success reported despite MaxDist violation")
 	}
 }
 
@@ -97,7 +85,7 @@ func TestAdversarialStaysInUnitBox(t *testing.T) {
 	clf := thresholdClf{}
 	x := []float64{0.9, 0.1}
 	pool := poolAround([]float64{0.1, 0.9})
-	res := Attack(clf, x, pool, DefaultConfig(), xrand.New(5))
+	res := Attack(clf, x, pool, xrand.New(5))
 	for _, v := range res.Adversarial {
 		if v < 0 || v > 1 {
 			t.Fatalf("adversarial value %v outside [0,1]", v)
@@ -109,8 +97,8 @@ func TestAttackDeterministicWithSeed(t *testing.T) {
 	clf := thresholdClf{}
 	x := []float64{0.8, 0.4}
 	pool := poolAround([]float64{0.2, 0.6})
-	a := Attack(clf, x, pool, DefaultConfig(), xrand.New(7))
-	b := Attack(clf, x, pool, DefaultConfig(), xrand.New(7))
+	a := Attack(clf, x, pool, xrand.New(7))
+	b := Attack(clf, x, pool, xrand.New(7))
 	if a.Queries != b.Queries || a.Success != b.Success {
 		t.Fatal("same seed produced different attack metadata")
 	}
@@ -145,7 +133,7 @@ func TestEmpiricalRobustnessVulnerableModel(t *testing.T) {
 	if err := clf.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	safety, queries := EmpiricalRobustness(clf, d, 20, DefaultConfig(), xrand.New(9))
+	safety, queries := EmpiricalRobustness(clf, d, 20, xrand.New(9))
 	if queries == 0 {
 		t.Fatal("no queries spent")
 	}
@@ -159,7 +147,7 @@ func TestEmpiricalRobustnessVulnerableModel(t *testing.T) {
 
 func TestEmpiricalRobustnessConstantModelIsSafe(t *testing.T) {
 	d := robustnessDataset(40, 2, 10)
-	safety, _ := EmpiricalRobustness(constClf{label: 1}, d, 10, DefaultConfig(), xrand.New(11))
+	safety, _ := EmpiricalRobustness(constClf{label: 1}, d, 10, xrand.New(11))
 	if safety != 1 {
 		t.Fatalf("constant model safety %v, want 1", safety)
 	}
@@ -167,7 +155,7 @@ func TestEmpiricalRobustnessConstantModelIsSafe(t *testing.T) {
 
 func TestEmpiricalRobustnessEmptyDataset(t *testing.T) {
 	d := &dataset.Dataset{Name: "empty", X: linalg.NewMatrix(0, 2)}
-	safety, queries := EmpiricalRobustness(constClf{}, d, 5, DefaultConfig(), xrand.New(1))
+	safety, queries := EmpiricalRobustness(constClf{}, d, 5, xrand.New(1))
 	if safety != 1 || queries != 0 {
 		t.Fatal("empty dataset should be vacuously safe")
 	}
@@ -186,7 +174,7 @@ func TestMoreFeaturesLowerSafety(t *testing.T) {
 			if err := clf.Fit(d); err != nil {
 				t.Fatal(err)
 			}
-			s, _ := EmpiricalRobustness(clf, d, 15, DefaultConfig(), xrand.New(uint64(30+r)))
+			s, _ := EmpiricalRobustness(clf, d, 15, xrand.New(uint64(30+r)))
 			sum += s
 		}
 		return sum / reps
@@ -212,7 +200,7 @@ func TestEmpiricalRobustnessAllocCeiling(t *testing.T) {
 	}
 	rng := xrand.New(3)
 	allocs := testing.AllocsPerRun(5, func() {
-		EmpiricalRobustness(clf, d, 8, DefaultConfig(), rng)
+		EmpiricalRobustness(clf, d, 8, rng)
 	})
 	if allocs > 4 {
 		t.Fatalf("EmpiricalRobustness allocates %.0f objects, ceiling 4", allocs)
@@ -228,6 +216,6 @@ func BenchmarkAttack(b *testing.B) {
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Attack(clf, d.X.Row(i%d.Rows()), d.X, DefaultConfig(), rng)
+		Attack(clf, d.X.Row(i%d.Rows()), d.X, rng)
 	}
 }

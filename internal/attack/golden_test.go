@@ -64,12 +64,12 @@ func TestEmpiricalRobustnessGoldenDigest(t *testing.T) {
 					if err := clf.Fit(train); err != nil {
 						t.Fatalf("%s seed %d %s: %v", name, seed, kind, err)
 					}
-					safety, queries := EmpiricalRobustness(clf, val, 8, DefaultConfig(), xrand.New(seed))
+					safety, queries := EmpiricalRobustness(clf, val, 8, xrand.New(seed))
 					put(safety)
 					putBits(uint64(queries))
 					rng := xrand.New(seed + 100)
 					for i := 0; i < 6; i++ {
-						res := Attack(clf, val.X.Row(i), val.X, DefaultConfig(), rng)
+						res := Attack(clf, val.X.Row(i), val.X, rng)
 						putBits(uint64(len(res.Adversarial)))
 						for _, v := range res.Adversarial {
 							put(v)

@@ -192,8 +192,8 @@ type TPEAblationResult struct {
 }
 
 // TPEAblation runs the χ²-ranking strategy with a normal TPE configuration
-// and with an all-random one (startup trials = max trials) on fuzzed
-// scenarios, comparing evaluations spent until satisfaction.
+// and with an all-random one (more startup trials than TPE ever runs) on
+// fuzzed scenarios, comparing evaluations spent until satisfaction.
 func TPEAblation(datasetName string, trials int, seed uint64) (*TPEAblationResult, error) {
 	d, err := getDataset(seed, datasetName)
 	if err != nil {

@@ -59,7 +59,7 @@ func Figure1(subsets int, seed uint64) ([]Figure1Point, error) {
 				return nil, err
 			}
 			pred := model.PredictBatch(clf, test.X)
-			safety, _ := attack.EmpiricalRobustness(clf, test, 6, attack.DefaultConfig(), rng.Split())
+			safety, _ := attack.EmpiricalRobustness(clf, test, 6, rng.Split())
 			out = append(out, Figure1Point{
 				Model:       kind,
 				NumFeatures: k,

@@ -728,7 +728,7 @@ func (ev *Evaluator) measureSafety(clf model.Classifier, part *dataset.Dataset, 
 	if instances <= 0 {
 		instances = 8
 	}
-	s, _ := attack.EmpiricalRobustness(clf, part, instances, attack.DefaultConfig(), rng.Split())
+	s, _ := attack.EmpiricalRobustness(clf, part, instances, rng.Split())
 	return s, nil
 }
 

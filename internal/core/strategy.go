@@ -72,15 +72,15 @@ func New(name string) (Strategy, error) {
 		return rfeStrategy{}, nil
 	case "TPE(NR)":
 		return simple{name, func(ev *Evaluator, rng *xrand.RNG) error {
-			return search.TPEBinary(ev, search.TPEConfig{}, rng)
+			return search.TPEBinary(ev, rng)
 		}}, nil
 	case "SA(NR)":
 		return simple{name, func(ev *Evaluator, rng *xrand.RNG) error {
-			return search.SimulatedAnnealing(ev, search.SAConfig{}, rng)
+			return search.SimulatedAnnealing(ev, rng)
 		}}, nil
 	case "NSGA-II(NR)":
 		return simple{name, func(ev *Evaluator, rng *xrand.RNG) error {
-			return search.NSGA2(ev, search.NSGA2Config{}, rng)
+			return search.NSGA2(ev, rng)
 		}}, nil
 	case "TPE(Variance)":
 		return topK{name, ranking.Variance{}}, nil
@@ -228,7 +228,7 @@ func (rfeStrategy) Run(ev *Evaluator, rng *xrand.RNG) error {
 		if usedPerm {
 			// The permutation fallback's budget surcharge replays on a
 			// durable hit exactly as it was charged on the original run.
-			if err := ev.ChargePermutationOverhead(len(sel), 3); err != nil {
+			if err := ev.ChargePermutationOverhead(len(sel), ranking.PermutationRepeats); err != nil {
 				return nil, err
 			}
 		}

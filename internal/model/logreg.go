@@ -14,11 +14,6 @@ import (
 type LogReg struct {
 	// C is the inverse regularization strength (sklearn convention).
 	C float64
-	// Epochs bounds the number of gradient steps.
-	Epochs int
-	// LearningRate is the (constant) step size; features are expected in
-	// [0, 1] so the default is stable.
-	LearningRate float64
 
 	w        []float64 // weights, one per feature
 	b        float64   // intercept
@@ -30,15 +25,23 @@ type LogReg struct {
 // NewLogReg returns an untrained logistic regression with inverse
 // regularization strength c.
 func NewLogReg(c float64) *LogReg {
-	return &LogReg{C: c, Epochs: 150, LearningRate: 0.7}
+	return &LogReg{C: c}
 }
+
+const (
+	// logRegEpochs is the number of gradient steps.
+	logRegEpochs = 150
+	// logRegLearningRate is the constant step size; features are expected
+	// in [0, 1], so it is stable.
+	logRegLearningRate = 0.7
+)
 
 // Name implements Classifier.
 func (m *LogReg) Name() string { return string(KindLR) }
 
 // Clone implements Classifier.
 func (m *LogReg) Clone() Classifier {
-	return &LogReg{C: m.C, Epochs: m.Epochs, LearningRate: m.LearningRate}
+	return &LogReg{C: m.C}
 }
 
 // Fit implements Classifier.
@@ -70,7 +73,7 @@ func (m *LogReg) Fit(d *dataset.Dataset) error {
 	part := make([]float64, stride)
 	grad := make([]float64, stride)
 	w := m.w
-	for epoch := 0; epoch < m.Epochs; epoch++ {
+	for epoch := 0; epoch < logRegEpochs; epoch++ {
 		b := m.b
 		for c := 0; c < nc; c++ {
 			lo, hi := chunkBounds(n, c)
@@ -106,7 +109,7 @@ func (m *LogReg) Fit(d *dataset.Dataset) error {
 			}
 		}
 		inv := 1 / float64(n)
-		lr := m.LearningRate
+		lr := logRegLearningRate
 		// Proximal step for the l2 term: unconditionally stable even for
 		// very small C (large lambda).
 		shrink := 1 / (1 + lr*lambda)

@@ -22,7 +22,7 @@ func referenceLogRegFit(m *LogReg, d *dataset.Dataset) {
 		lambda = 1 / (m.C * float64(n))
 	}
 	grad := make([]float64, p)
-	for epoch := 0; epoch < m.Epochs; epoch++ {
+	for epoch := 0; epoch < 150; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -40,7 +40,7 @@ func referenceLogRegFit(m *LogReg, d *dataset.Dataset) {
 			gb += err
 		}
 		inv := 1 / float64(n)
-		lr := m.LearningRate
+		lr := 0.7
 		shrink := 1 / (1 + lr*lambda)
 		for j := range m.w {
 			m.w[j] = (m.w[j] - lr*grad[j]*inv) * shrink

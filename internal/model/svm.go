@@ -13,8 +13,6 @@ import (
 type LinearSVM struct {
 	// C is the inverse regularization strength.
 	C float64
-	// Epochs bounds the number of subgradient steps.
-	Epochs int
 
 	w        []float64
 	b        float64
@@ -25,14 +23,17 @@ type LinearSVM struct {
 
 // NewLinearSVM returns an untrained linear SVM.
 func NewLinearSVM(c float64) *LinearSVM {
-	return &LinearSVM{C: c, Epochs: 150}
+	return &LinearSVM{C: c}
 }
+
+// svmEpochs is the number of subgradient steps.
+const svmEpochs = 150
 
 // Name implements Classifier.
 func (m *LinearSVM) Name() string { return string(KindSVM) }
 
 // Clone implements Classifier.
-func (m *LinearSVM) Clone() Classifier { return &LinearSVM{C: m.C, Epochs: m.Epochs} }
+func (m *LinearSVM) Clone() Classifier { return &LinearSVM{C: m.C} }
 
 // Fit implements Classifier.
 func (m *LinearSVM) Fit(d *dataset.Dataset) error {
@@ -51,7 +52,7 @@ func (m *LinearSVM) Fit(d *dataset.Dataset) error {
 	m.b = 0
 	lambda := 1 / (m.C * float64(n))
 	grad := make([]float64, p)
-	for epoch := 0; epoch < m.Epochs; epoch++ {
+	for epoch := 0; epoch < svmEpochs; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}

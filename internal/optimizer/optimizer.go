@@ -109,7 +109,7 @@ func landmark(scn *core.Scenario, rng *xrand.RNG) ([]float64, error) {
 		if cs.HasSafety() && len(safeties) == 0 {
 			// One fold suffices for the safety landmark: it is the most
 			// expensive probe.
-			s, _ := attack.EmpiricalRobustness(clf, va, 4, attack.DefaultConfig(), rng.Split())
+			s, _ := attack.EmpiricalRobustness(clf, va, 4, rng.Split())
 			safeties = append(safeties, s)
 		}
 		if cs.HasPrivacy() && len(dpF1s) == 0 {

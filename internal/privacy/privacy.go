@@ -239,12 +239,13 @@ type DPTree struct {
 	MaxDepth int
 	// Epsilon is the privacy budget.
 	Epsilon float64
-	// Trees is the ensemble size; 0 means 7.
-	Trees int
 
 	roots []*dpNode
 	rng   *xrand.RNG
 }
+
+// dpTrees is the DP forest's ensemble size.
+const dpTrees = 7
 
 type dpNode struct {
 	feature     int
@@ -259,7 +260,7 @@ func (m *DPTree) Name() string { return "DP-DT" }
 
 // Clone implements model.Classifier.
 func (m *DPTree) Clone() model.Classifier {
-	return &DPTree{MaxDepth: m.MaxDepth, Epsilon: m.Epsilon, Trees: m.Trees, rng: m.rng.Split()}
+	return &DPTree{MaxDepth: m.MaxDepth, Epsilon: m.Epsilon, rng: m.rng.Split()}
 }
 
 // Fit implements model.Classifier.
@@ -267,10 +268,7 @@ func (m *DPTree) Fit(d *dataset.Dataset) error {
 	if d.Rows() == 0 {
 		return fmt.Errorf("privacy: DP-DT fit on empty dataset")
 	}
-	trees := m.Trees
-	if trees <= 0 {
-		trees = 7
-	}
+	trees := dpTrees
 	if trees > d.Rows() {
 		trees = 1
 	}

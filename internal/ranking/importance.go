@@ -18,9 +18,6 @@ import (
 type ModelImportance struct {
 	// Spec is the classifier whose notion of importance is used.
 	Spec model.Spec
-	// PermutationRepeats is the number of shuffles per feature in the
-	// fallback; 0 means 3.
-	PermutationRepeats int
 
 	// UsedPermutation reports whether the last Rank call had to fall back.
 	UsedPermutation bool
@@ -51,12 +48,12 @@ func (m *ModelImportance) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float6
 		return nil, fmt.Errorf("ranking: permutation importance needs an RNG")
 	}
 	m.UsedPermutation = true
-	reps := m.PermutationRepeats
-	if reps <= 0 {
-		reps = 3
-	}
-	return PermutationImportance(clf, train, reps, rng)
+	return PermutationImportance(clf, train, PermutationRepeats, rng)
 }
+
+// PermutationRepeats is the number of shuffles per feature in the
+// permutation fallback; RFE charges its budget surcharge by it.
+const PermutationRepeats = 3
 
 // PermutationImportance measures each feature's importance as the F1 drop
 // when that feature's column is shuffled (Breiman, 2001). The classifier

@@ -18,16 +18,10 @@ import (
 // the behavioral oracle for the heap-based two-phase rewrite.
 func referenceReliefFRank(r ReliefF, train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	n, p := train.Rows(), train.Features()
-	k := r.Neighbors
-	if k <= 0 {
-		k = 10
-	}
-	m := r.Samples
-	if m <= 0 || m > n {
+	k := 10
+	m := 100
+	if m > n {
 		m = n
-		if m > 100 {
-			m = 100
-		}
 	}
 	byClass := [2][]int{}
 	for i, y := range train.Y {
@@ -111,22 +105,10 @@ func refNearestWithin(d *dataset.Dataset, candidates []int, self int, row []floa
 // same lasso pipeline.
 func referenceMCFSRank(m MCFS, train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	n, p := train.Rows(), train.Features()
-	kDims := m.EmbeddingDims
-	if kDims <= 0 {
-		kDims = 4
-	}
-	kNN := m.GraphNeighbors
-	if kNN <= 0 {
-		kNN = 5
-	}
-	rowCap := m.SampleRows
-	if rowCap <= 0 {
-		rowCap = 200
-	}
-	alpha := m.Alpha
-	if alpha == 0 {
-		alpha = 0.01
-	}
+	kDims := 4
+	kNN := 5
+	rowCap := 200
+	alpha := 0.01
 	x := train.X
 	if n > rowCap {
 		rows := rng.Sample(n, rowCap)

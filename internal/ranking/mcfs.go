@@ -17,16 +17,18 @@ import (
 // the features with an l1 penalty, and score each feature by its largest
 // absolute coefficient across the embedding regressions. It is unsupervised:
 // the target is never consulted.
-type MCFS struct {
-	// EmbeddingDims is K, the number of spectral dimensions; 0 means 4.
-	EmbeddingDims int
-	// GraphNeighbors is the kNN graph degree; 0 means 5.
-	GraphNeighbors int
-	// SampleRows caps the graph size; 0 means 200.
-	SampleRows int
-	// Alpha is the lasso penalty; 0 means 0.01.
-	Alpha float64
-}
+type MCFS struct{}
+
+const (
+	// mcfsEmbeddingDims is K, the number of spectral dimensions.
+	mcfsEmbeddingDims = 4
+	// mcfsGraphNeighbors is the kNN graph degree.
+	mcfsGraphNeighbors = 5
+	// mcfsSampleRows caps the graph size.
+	mcfsSampleRows = 200
+	// mcfsAlpha is the lasso penalty.
+	mcfsAlpha = 0.01
+)
 
 // EmbeddingError reports an MCFS spectral embedding that failed on the
 // sampled Laplacian: a non-finite entry, or an eigendecomposition that did
@@ -52,7 +54,7 @@ func (MCFS) Name() string { return "MCFS" }
 func (MCFS) Family() budget.RankingFamily { return budget.RankMCFS }
 
 // Rank implements Ranker.
-func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
+func (MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	n, p := train.Rows(), train.Features()
 	if n == 0 {
 		return nil, fmt.Errorf("ranking: MCFS on empty dataset")
@@ -60,30 +62,14 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("ranking: MCFS needs an RNG")
 	}
-	kDims := m.EmbeddingDims
-	if kDims <= 0 {
-		kDims = 4
-	}
-	kNN := m.GraphNeighbors
-	if kNN <= 0 {
-		kNN = 5
-	}
-	cap := m.SampleRows
-	if cap <= 0 {
-		cap = 200
-	}
-	alpha := m.Alpha
-	if alpha == 0 {
-		alpha = 0.01
-	}
-
 	// Sample rows to bound the O(n²) graph and O(n³) eigendecomposition.
 	x := train.X
-	if n > cap {
-		rows := rng.Sample(n, cap)
+	if n > mcfsSampleRows {
+		rows := rng.Sample(n, mcfsSampleRows)
 		x = x.SelectRows(rows)
-		n = cap
+		n = mcfsSampleRows
 	}
+	kDims := mcfsEmbeddingDims
 	if kDims >= n {
 		kDims = n - 1
 	}
@@ -118,7 +104,7 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	var scratch linalg.NNScratch
 	var nn []int
 	for i := 0; i < n; i++ {
-		nn = linalg.KNN(x, x.Row(i), all, kNN+1, linalg.Euclidean, i, &scratch, nn)
+		nn = linalg.KNN(x, x.Row(i), all, mcfsGraphNeighbors+1, linalg.Euclidean, i, &scratch, nn)
 		for _, l := range nn {
 			a := math.Exp(-linalg.SqDist(x.Row(i), x.Row(l)) / sigma2)
 			if a > w.At(i, l) {
@@ -165,7 +151,7 @@ func (m MCFS) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	// each regressed onto the features with lasso.
 	scores := make([]float64, p)
 	for k := 1; k < vecs.Rows; k++ {
-		coef := linalg.LassoCD(x, vecs.Row(k), alpha, 200, 1e-7)
+		coef := linalg.LassoCD(x, vecs.Row(k), mcfsAlpha, 200, 1e-7)
 		for j, c := range coef {
 			if a := math.Abs(c); a > scores[j] {
 				scores[j] = a

@@ -13,12 +13,14 @@ import (
 // sampled instances it finds the k nearest hits (same class) and k nearest
 // misses (other class) and rewards features that differ across classes but
 // agree within a class. The paper uses the default k = 10 neighbours.
-type ReliefF struct {
-	// Neighbors is k; 0 means 10 (the paper's default).
-	Neighbors int
-	// Samples is the number of seed instances m; 0 means min(rows, 100).
-	Samples int
-}
+type ReliefF struct{}
+
+const (
+	// reliefFNeighbors is k, the paper's default.
+	reliefFNeighbors = 10
+	// reliefFSamples caps the number of seed instances m.
+	reliefFSamples = 100
+)
 
 // Name implements Ranker.
 func (ReliefF) Name() string { return "ReliefF" }
@@ -27,24 +29,13 @@ func (ReliefF) Name() string { return "ReliefF" }
 func (ReliefF) Family() budget.RankingFamily { return budget.RankReliefF }
 
 // Rank implements Ranker.
-func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
+func (ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error) {
 	n, p := train.Rows(), train.Features()
 	if n == 0 {
 		return nil, fmt.Errorf("ranking: ReliefF on empty dataset")
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("ranking: ReliefF needs an RNG")
-	}
-	k := r.Neighbors
-	if k <= 0 {
-		k = 10
-	}
-	m := r.Samples
-	if m <= 0 || m > n {
-		m = n
-		if m > 100 {
-			m = 100
-		}
 	}
 
 	// Pre-split row indices by class.
@@ -57,7 +48,7 @@ func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 	}
 
 	w := make([]float64, p)
-	seeds := rng.Sample(n, m)
+	seeds := rng.Sample(n, min(n, reliefFSamples))
 	// Neighbour-heap and accumulator scratch is reused across all seeds.
 	var hitScratch, missScratch linalg.NNScratch
 	var hits, misses []int
@@ -66,8 +57,8 @@ func (r ReliefF) Rank(train *dataset.Dataset, rng *xrand.RNG) ([]float64, error)
 	for _, i := range seeds {
 		row := train.X.Row(i)
 		y := train.Y[i]
-		hits = linalg.KNN(train.X, row, byClass[y], k, linalg.Manhattan, i, &hitScratch, hits)
-		misses = linalg.KNN(train.X, row, byClass[1-y], k, linalg.Manhattan, i, &missScratch, misses)
+		hits = linalg.KNN(train.X, row, byClass[y], reliefFNeighbors, linalg.Manhattan, i, &hitScratch, hits)
+		misses = linalg.KNN(train.X, row, byClass[1-y], reliefFNeighbors, linalg.Manhattan, i, &missScratch, misses)
 		if len(hits) == 0 || len(misses) == 0 {
 			continue
 		}

@@ -7,35 +7,15 @@ import (
 	"github.com/declarative-fs/dfs/internal/xrand"
 )
 
-// NSGA2Config tunes the evolutionary multi-objective driver.
-type NSGA2Config struct {
-	// PopulationSize is the population; 0 means 30, the configuration Xue et
+const (
+	// nsga2Population is the population size: 30, the configuration Xue et
 	// al. use and the paper adopts (§6.2).
-	PopulationSize int
-	// Generations bounds the evolution; 0 means 1000.
-	Generations int
-	// CrossoverProb is the per-pair uniform-crossover probability; 0 means
-	// 0.9.
-	CrossoverProb float64
-	// MutationProb is the per-bit flip probability; 0 means 1/p.
-	MutationProb float64
-}
-
-func (c NSGA2Config) withDefaults(p int) NSGA2Config {
-	if c.PopulationSize == 0 {
-		c.PopulationSize = 30
-	}
-	if c.Generations == 0 {
-		c.Generations = 1000
-	}
-	if c.CrossoverProb == 0 {
-		c.CrossoverProb = 0.9
-	}
-	if c.MutationProb == 0 {
-		c.MutationProb = 1 / float64(max(p, 1))
-	}
-	return c
-}
+	nsga2Population = 30
+	// nsga2Generations bounds the evolution.
+	nsga2Generations = 1000
+	// nsga2CrossoverProb is the per-pair uniform-crossover probability.
+	nsga2CrossoverProb = 0.9
+)
 
 type individual struct {
 	mask      []bool
@@ -48,12 +28,12 @@ type individual struct {
 // NSGA2 runs the nondominated sorting genetic algorithm II over binary
 // feature masks, minimizing every component of the MultiObjective — the
 // paper maps each user constraint to one objective (NSGA-II(NR)).
-func NSGA2(obj MultiObjective, cfg NSGA2Config, rng *xrand.RNG) error {
+func NSGA2(obj MultiObjective, rng *xrand.RNG) error {
 	p := obj.NumFeatures()
 	if p == 0 {
 		return nil
 	}
-	cfg = cfg.withDefaults(p)
+	mutationProb := 1 / float64(p) // per bit
 
 	evaluate := func(ind *individual) (bool, error) {
 		objs, stop, err := obj.EvaluateMulti(ind.mask)
@@ -65,8 +45,8 @@ func NSGA2(obj MultiObjective, cfg NSGA2Config, rng *xrand.RNG) error {
 		return false, nil
 	}
 
-	pop := make([]*individual, 0, cfg.PopulationSize)
-	for i := 0; i < cfg.PopulationSize; i++ {
+	pop := make([]*individual, 0, nsga2Population)
+	for i := 0; i < nsga2Population; i++ {
 		ind := &individual{mask: randomNonEmptyMask(p, rng)}
 		if stop, err := evaluate(ind); stop || err != nil {
 			return err
@@ -74,15 +54,15 @@ func NSGA2(obj MultiObjective, cfg NSGA2Config, rng *xrand.RNG) error {
 		pop = append(pop, ind)
 	}
 
-	for gen := 0; gen < cfg.Generations; gen++ {
+	for gen := 0; gen < nsga2Generations; gen++ {
 		assignRanksAndCrowding(pop)
-		offspring := make([]*individual, 0, cfg.PopulationSize)
-		for len(offspring) < cfg.PopulationSize {
+		offspring := make([]*individual, 0, nsga2Population)
+		for len(offspring) < nsga2Population {
 			a := tournament(pop, rng)
 			b := tournament(pop, rng)
-			childA, childB := crossover(a.mask, b.mask, cfg.CrossoverProb, rng)
-			mutate(childA, cfg.MutationProb, rng)
-			mutate(childB, cfg.MutationProb, rng)
+			childA, childB := crossover(a.mask, b.mask, nsga2CrossoverProb, rng)
+			mutate(childA, mutationProb, rng)
+			mutate(childB, mutationProb, rng)
 			for _, m := range [][]bool{childA, childB} {
 				if countMask(m) == 0 {
 					m[rng.Intn(p)] = true
@@ -92,12 +72,12 @@ func NSGA2(obj MultiObjective, cfg NSGA2Config, rng *xrand.RNG) error {
 					return err
 				}
 				offspring = append(offspring, ind)
-				if len(offspring) == cfg.PopulationSize {
+				if len(offspring) == nsga2Population {
 					break
 				}
 			}
 		}
-		pop = environmentalSelection(append(pop, offspring...), cfg.PopulationSize)
+		pop = environmentalSelection(append(pop, offspring...), nsga2Population)
 	}
 	return nil
 }
@@ -237,11 +217,4 @@ func environmentalSelection(pop []*individual, size int) []*individual {
 		return pop[a].crowding > pop[b].crowding
 	})
 	return pop[:size]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -53,41 +53,12 @@ func TestSequentialBackwardEvaluatesShrinkingSizes(t *testing.T) {
 	}
 }
 
-func TestTPEConfigDefaults(t *testing.T) {
-	c := TPEConfig{}.withDefaults()
-	if c.StartupTrials != 8 || c.Gamma != 0.25 || c.Candidates != 16 || c.MaxTrials != 10000 {
-		t.Fatalf("defaults %+v", c)
-	}
-	// Explicit values survive.
-	c = TPEConfig{StartupTrials: 3, Gamma: 0.5, Candidates: 4, MaxTrials: 9}.withDefaults()
-	if c.StartupTrials != 3 || c.Gamma != 0.5 || c.Candidates != 4 || c.MaxTrials != 9 {
-		t.Fatalf("explicit config clobbered: %+v", c)
-	}
-}
-
-func TestSAConfigDefaults(t *testing.T) {
-	c := SAConfig{}.withDefaults()
-	if c.InitialTemp != 1 || c.Cooling != 0.97 || c.MaxIters != 10000 {
-		t.Fatalf("defaults %+v", c)
-	}
-}
-
-func TestNSGA2ConfigDefaults(t *testing.T) {
-	c := NSGA2Config{}.withDefaults(20)
-	if c.PopulationSize != 30 {
-		t.Fatalf("population %d, want the paper's 30", c.PopulationSize)
-	}
-	if c.MutationProb != 1.0/20 {
-		t.Fatalf("mutation prob %v, want 1/p", c.MutationProb)
-	}
-}
-
 func TestSimulatedAnnealingAcceptsWorseMovesWhenHot(t *testing.T) {
-	// At a very high constant-ish temperature, SA behaves like a random
-	// walk: it must visit masks worse than its best.
+	// While the temperature is near T₀ = 1, SA walks away from its best:
+	// it must visit masks worse than its best.
 	h := newHamming(mask(0)(6), false)
 	h.maxEvals = 200
-	if err := SimulatedAnnealing(h, SAConfig{InitialTemp: 100, Cooling: 0.9999}, xrand.New(9)); err != nil {
+	if err := SimulatedAnnealing(h, xrand.New(9)); err != nil {
 		t.Fatal(err)
 	}
 	sawWorse := false

@@ -259,7 +259,8 @@ func TestTPETopKCoversAllCutsEventually(t *testing.T) {
 
 func TestTPEBinaryFindsTarget(t *testing.T) {
 	h := newHamming(mask(1, 4)(6), true)
-	if err := TPEBinary(h, TPEConfig{MaxTrials: 3000}, xrand.New(3)); err != nil {
+	h.maxEvals = 3000
+	if err := TPEBinary(h, xrand.New(3)); err != nil {
 		t.Fatal(err)
 	}
 	if h.bestValue != 0 {
@@ -274,7 +275,8 @@ func TestTPEBinaryImprovesOverRandom(t *testing.T) {
 	const runs = 10
 	for r := 0; r < runs; r++ {
 		h := newHamming(mask(0, 3, 5)(10), true)
-		if err := TPEBinary(h, TPEConfig{MaxTrials: 5000}, xrand.New(uint64(10+r))); err != nil {
+		h.maxEvals = 5000
+		if err := TPEBinary(h, xrand.New(uint64(10+r))); err != nil {
 			t.Fatal(err)
 		}
 		if h.bestValue != 0 {
@@ -289,7 +291,7 @@ func TestTPEBinaryImprovesOverRandom(t *testing.T) {
 
 func TestSimulatedAnnealingFindsTarget(t *testing.T) {
 	h := newHamming(mask(2, 5)(6), true)
-	if err := SimulatedAnnealing(h, SAConfig{}, xrand.New(4)); err != nil {
+	if err := SimulatedAnnealing(h, xrand.New(4)); err != nil {
 		t.Fatal(err)
 	}
 	if h.bestValue != 0 {
@@ -300,7 +302,7 @@ func TestSimulatedAnnealingFindsTarget(t *testing.T) {
 func TestSimulatedAnnealingNeverEmptyMask(t *testing.T) {
 	h := newHamming(mask(0)(3), false)
 	h.maxEvals = 500
-	if err := SimulatedAnnealing(h, SAConfig{}, xrand.New(5)); err != nil {
+	if err := SimulatedAnnealing(h, xrand.New(5)); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range h.history {
@@ -312,7 +314,8 @@ func TestSimulatedAnnealingNeverEmptyMask(t *testing.T) {
 
 func TestNSGA2FindsParetoTarget(t *testing.T) {
 	m := &multiHamming{*newHamming(mask(1, 3)(8), true)}
-	if err := NSGA2(m, NSGA2Config{Generations: 50}, xrand.New(6)); err != nil {
+	m.maxEvals = 30 + 50*30 // the initial population and 50 generations
+	if err := NSGA2(m, xrand.New(6)); err != nil {
 		t.Fatal(err)
 	}
 	if m.bestValue != 0 {
@@ -323,7 +326,7 @@ func TestNSGA2FindsParetoTarget(t *testing.T) {
 func TestNSGA2RespectsBudget(t *testing.T) {
 	m := &multiHamming{*newHamming(mask(0)(8), false)}
 	m.maxEvals = 45
-	if err := NSGA2(m, NSGA2Config{Generations: 100}, xrand.New(7)); err != nil {
+	if err := NSGA2(m, xrand.New(7)); err != nil {
 		t.Fatal(err)
 	}
 	if m.evals != 45 {
@@ -335,7 +338,7 @@ func TestNSGA2Deterministic(t *testing.T) {
 	run := func() [][]bool {
 		m := &multiHamming{*newHamming(mask(1, 2)(6), false)}
 		m.maxEvals = 200
-		if err := NSGA2(m, NSGA2Config{Generations: 10}, xrand.New(8)); err != nil {
+		if err := NSGA2(m, xrand.New(8)); err != nil {
 			t.Fatal(err)
 		}
 		return m.history

@@ -13,13 +13,13 @@ import (
 // test oracle: the windowed incremental counting in proposeMask must produce
 // bit-identical proposals (including tie handling in the good/bad split and
 // identical RNG consumption).
-func referenceProposeMask(history []trialMask, p int, cfg TPEConfig, rng *xrand.RNG) []bool {
+func referenceProposeMask(history []trialMask, p int, rng *xrand.RNG) []bool {
 	if len(history) > proposalWindow {
 		history = history[len(history)-proposalWindow:]
 	}
 	sorted := append([]trialMask(nil), history...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].value < sorted[b].value })
-	nGood := int(cfg.Gamma * float64(len(sorted)))
+	nGood := int(0.25 * float64(len(sorted)))
 	if nGood < 1 {
 		nGood = 1
 	}
@@ -43,7 +43,7 @@ func referenceProposeMask(history []trialMask, p int, cfg TPEConfig, rng *xrand.
 
 	var best []bool
 	bestScore := math.Inf(-1)
-	for c := 0; c < cfg.Candidates; c++ {
+	for c := 0; c < 16; c++ {
 		mask := make([]bool, p)
 		any := false
 		for j := 0; j < p; j++ {
@@ -89,7 +89,6 @@ func windowTotals(history []trialMask, p int) []float64 {
 }
 
 func TestProposeMaskMatchesReference(t *testing.T) {
-	cfg := TPEConfig{}.withDefaults()
 	for _, p := range []int{3, 17, 40} {
 		for _, n := range []int{9, 60, proposalWindow + 37} {
 			gen := xrand.NewStream(uint64(p*1000+n), 0x9e)
@@ -110,8 +109,8 @@ func TestProposeMaskMatchesReference(t *testing.T) {
 			rngA := xrand.NewStream(42, 0x7e57)
 			rngB := xrand.NewStream(42, 0x7e57)
 			for round := 0; round < 5; round++ {
-				got := proposeMask(history, totals, p, cfg, rngA)
-				want := referenceProposeMask(history, p, cfg, rngB)
+				got := proposeMask(history, totals, p, rngA)
+				want := referenceProposeMask(history, p, rngB)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("p=%d n=%d round=%d: proposal diverged from reference\ngot  %v\nwant %v",
 						p, n, round, got, want)
